@@ -42,6 +42,9 @@ struct Result {
   size_t attempted = 0;
   size_t failed = 0;
   std::vector<std::string> check_failures;
+  /// A digest of the workload's outputs; run.py checks that every process
+  /// of a run, given identical inputs, prints the same one.
+  std::string outputs;
 
   void Add(const std::string& name, double value, const std::string& unit) {
     metrics.push_back(Metric{name, value, unit});
@@ -51,7 +54,10 @@ struct Result {
   }
 };
 
-/// Common command-line inputs of a workload run.
+/// Set-ups per timed run; setup_s is their median.
+constexpr size_t kSetupRepeats = 15;
+
+/// Command-line inputs of a workload run.
 struct RunOptions {
   std::string workload;
   uint64_t seed = 1;
@@ -59,7 +65,6 @@ struct RunOptions {
   bool trace = false;
   /// Directory of this build's artifacts (model cache, bundle, trace files).
   std::string artifacts;
-  size_t setup_repeats = 3;
 };
 
 }  // namespace perfbench

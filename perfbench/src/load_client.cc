@@ -51,14 +51,6 @@ int64_t ResponseSeq(const std::string& response) {
   return seq;
 }
 
-double WireResult::LatencyMs(size_t i, const std::vector<WireRequest>& schedule) const {
-  return static_cast<double>(done_ns[i] - start_ns - schedule[i].due_ns) / 1e6;
-}
-
-double WireResult::LateMs(size_t i, const std::vector<WireRequest>& schedule) const {
-  return static_cast<double>(sent_ns[i] - start_ns - schedule[i].due_ns) / 1e6;
-}
-
 LoadClient::LoadClient(const std::string& socket_path, size_t connections) {
   for (size_t c = 0; c < connections; ++c) fds_.push_back(Connect(socket_path));
 }
@@ -67,69 +59,112 @@ LoadClient::~LoadClient() {
   for (const int fd : fds_) ::close(fd);
 }
 
+namespace {
+
+/// Reads responses off every connection and files each under its schedule
+/// index (the thread that calls Poll owns the result's responses).
+class ResponseReader {
+ public:
+  ResponseReader(const std::vector<int>& fds, WireResult& result)
+      : result_(result),
+        buffers_(fds.size()),
+        done_(new std::atomic<int64_t>[result.sent_ns.size()]) {
+    for (const int fd : fds) polls_.push_back(pollfd{fd, POLLIN, 0});
+    for (size_t i = 0; i < result.sent_ns.size(); ++i) {
+      done_[i].store(0, std::memory_order_relaxed);
+    }
+  }
+
+  /// Waits up to `timeout_ms` for input and files every complete response;
+  /// returns how many arrived.
+  size_t Poll(int timeout_ms) {
+    const int ready = ::poll(polls_.data(), polls_.size(), timeout_ms);
+    if (ready <= 0) return 0;
+    const size_t before = received_;
+    for (size_t c = 0; c < polls_.size(); ++c) {
+      if ((polls_[c].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      const ssize_t got = dial::serve::ReadRetry(polls_[c].fd, chunk_, sizeof(chunk_));
+      if (got <= 0) {
+        polls_[c].fd = -1;  // server closed it; poll ignores negative fds
+        continue;
+      }
+      const int64_t now = NowNs();
+      std::string& buffer = buffers_[c];
+      buffer.append(chunk_, static_cast<size_t>(got));
+      size_t begin = 0;
+      size_t newline;
+      while ((newline = buffer.find('\n', begin)) != std::string::npos) {
+        std::string line = buffer.substr(begin, newline - begin);
+        begin = newline + 1;
+        const int64_t seq = ResponseSeq(line);
+        if (seq < 0 || static_cast<size_t>(seq) >= result_.sent_ns.size() ||
+            done(static_cast<size_t>(seq))) {
+          continue;  // unattributable or duplicate: the request stays missing
+        }
+        result_.responses[static_cast<size_t>(seq)] = std::move(line);
+        done_[static_cast<size_t>(seq)].store(now, std::memory_order_release);
+        ++received_;
+      }
+      buffer.erase(0, begin);
+    }
+    return received_ - before;
+  }
+
+  /// Safe from any thread.
+  bool done(size_t i) const { return done_[i].load(std::memory_order_acquire) != 0; }
+  size_t received() const { return received_; }
+
+  void CopyDoneTimes() {
+    result_.done_ns.resize(result_.sent_ns.size());
+    for (size_t i = 0; i < result_.done_ns.size(); ++i) result_.done_ns[i] = done_[i].load();
+  }
+
+ private:
+  WireResult& result_;
+  std::vector<pollfd> polls_;
+  std::vector<std::string> buffers_;
+  std::unique_ptr<std::atomic<int64_t>[]> done_;
+  size_t received_ = 0;
+  char chunk_[65536];
+};
+
+WireResult EmptyResult(size_t n) {
+  WireResult result;
+  result.due_ns.assign(n, 0);
+  result.sent_ns.assign(n, 0);
+  result.responses.assign(n, std::string());
+  return result;
+}
+
+}  // namespace
+
 WireResult LoadClient::Run(const std::vector<WireRequest>& schedule,
                            double drain_timeout_s) {
   const size_t n = schedule.size();
-  WireResult result;
-  result.sent_ns.assign(n, 0);
-  result.responses.assign(n, std::string());
-  std::unique_ptr<std::atomic<int64_t>[]> done(new std::atomic<int64_t>[n]);
-  for (size_t i = 0; i < n; ++i) done[i].store(0, std::memory_order_relaxed);
+  WireResult result = EmptyResult(n);
+  ResponseReader reader(fds_, result);
   std::atomic<bool> writer_done{false};
   std::atomic<int64_t> last_send_ns{0};
   const int64_t drain_ns = static_cast<int64_t>(drain_timeout_s * 1e9);
 
-  std::thread reader([&] {
-    std::vector<pollfd> polls;
-    for (const int fd : fds_) polls.push_back(pollfd{fd, POLLIN, 0});
-    std::vector<std::string> buffers(fds_.size());
-    size_t received = 0;
-    char chunk[65536];
-    while (received < n) {
+  std::thread reader_thread([&] {
+    while (reader.received() < n) {
       if (writer_done.load(std::memory_order_acquire) &&
           NowNs() > last_send_ns.load() + drain_ns) {
         break;  // stragglers count as missing
       }
-      const int ready = ::poll(polls.data(), polls.size(), 20);
-      if (ready <= 0) continue;
-      for (size_t c = 0; c < polls.size(); ++c) {
-        if ((polls[c].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        const ssize_t got = dial::serve::ReadRetry(polls[c].fd, chunk, sizeof(chunk));
-        if (got <= 0) {
-          polls[c].fd = -1;  // server closed it; poll ignores negative fds
-          continue;
-        }
-        const int64_t now = NowNs();
-        std::string& buffer = buffers[c];
-        buffer.append(chunk, static_cast<size_t>(got));
-        size_t begin = 0;
-        size_t newline;
-        while ((newline = buffer.find('\n', begin)) != std::string::npos) {
-          std::string line = buffer.substr(begin, newline - begin);
-          begin = newline + 1;
-          const int64_t seq = ResponseSeq(line);
-          if (seq < 0 || static_cast<size_t>(seq) >= n ||
-              done[static_cast<size_t>(seq)].load(std::memory_order_relaxed) != 0) {
-            continue;  // unattributable or duplicate: the request stays missing
-          }
-          result.responses[static_cast<size_t>(seq)] = std::move(line);
-          done[static_cast<size_t>(seq)].store(now, std::memory_order_release);
-          ++received;
-        }
-        buffer.erase(0, begin);
-      }
+      reader.Poll(20);
     }
   });
 
   result.start_ns = NowNs();
   for (size_t i = 0; i < n; ++i) {
     const WireRequest& request = schedule[i];
-    SleepUntilNs(result.start_ns + request.due_ns);
+    result.due_ns[i] = result.start_ns + request.due_ns;
+    SleepUntilNs(result.due_ns[i]);
     if (request.wait_for >= 0) {
       const int64_t give_up = NowNs() + drain_ns;
-      while (done[static_cast<size_t>(request.wait_for)].load(
-                 std::memory_order_acquire) == 0 &&
-             NowNs() < give_up) {
+      while (!reader.done(static_cast<size_t>(request.wait_for)) && NowNs() < give_up) {
         std::this_thread::yield();
       }
     }
@@ -141,9 +176,38 @@ WireResult LoadClient::Run(const std::vector<WireRequest>& schedule,
     last_send_ns.store(result.sent_ns[i] != 0 ? result.sent_ns[i] : NowNs());
   }
   writer_done.store(true, std::memory_order_release);
-  reader.join();
-  result.done_ns.resize(n);
-  for (size_t i = 0; i < n; ++i) result.done_ns[i] = done[i].load();
+  reader_thread.join();
+  reader.CopyDoneTimes();
+  return result;
+}
+
+WireResult LoadClient::RunWindowed(const std::vector<WireRequest>& schedule, size_t window,
+                                   double drain_timeout_s) {
+  const size_t n = schedule.size();
+  WireResult result = EmptyResult(n);
+  ResponseReader reader(fds_, result);
+  const int64_t drain_ns = static_cast<int64_t>(drain_timeout_s * 1e9);
+  result.start_ns = NowNs();
+  int64_t last_progress = result.start_ns;
+  size_t next = 0;
+  while (reader.received() < n) {
+    while (next < n && next - reader.received() < window) {
+      const WireRequest& request = schedule[next];
+      if (request.wait_for >= 0 && !reader.done(static_cast<size_t>(request.wait_for))) break;
+      result.sent_ns[next] = result.due_ns[next] = NowNs();
+      if (!dial::serve::SendAll(fds_[request.conn], request.line.data(),
+                                request.line.size())) {
+        result.sent_ns[next] = 0;  // peer gone; counted missing
+      }
+      ++next;
+    }
+    if (reader.Poll(20) > 0) {
+      last_progress = NowNs();
+    } else if (NowNs() > last_progress + drain_ns) {
+      break;  // no progress: what is outstanding counts as missing
+    }
+  }
+  reader.CopyDoneTimes();
   return result;
 }
 

@@ -6,12 +6,14 @@
 #include <vector>
 
 /// \file
-/// Open-loop load generator for the dial_serve socket protocol. One writer
-/// thread (the caller) sends every request at its due time over one of
-/// several persistent connections; one reader thread polls all of them and
-/// stamps each response. Latency is taken from the due time, not the send
-/// time, so a stalled generator charges the wait to every request it
-/// delayed; how late the writer ran is reported separately.
+/// Load generator for the dial_serve socket protocol, over several
+/// persistent connections. Open loop (Run): one writer thread (the caller)
+/// sends every request at its due time; one reader thread polls all
+/// connections and stamps each response. Latency is taken from the due
+/// time, not the send time, so a stalled generator charges the wait to
+/// every request it delayed; how late the writer ran is reported
+/// separately. Closed loop (RunWindowed): the caller alone keeps a fixed
+/// number of requests in flight, sending the next as a response arrives.
 ///
 /// The socket I/O goes through the serve library's own EINTR-safe
 /// `serve::SendAll` / `serve::ReadRetry`.
@@ -32,14 +34,16 @@ struct WireRequest {
 
 struct WireResult {
   int64_t start_ns = 0;
-  std::vector<int64_t> sent_ns;  // absolute steady-clock ns
+  // Absolute steady-clock ns. A closed loop's requests are due when sent.
+  std::vector<int64_t> due_ns;
+  std::vector<int64_t> sent_ns;  // 0 = not sent
   std::vector<int64_t> done_ns;  // 0 = no response
   std::vector<std::string> responses;
 
   /// Response latency from the due time, in ms (requests with a response).
-  double LatencyMs(size_t i, const std::vector<WireRequest>& schedule) const;
-  /// How late the writer sent request i, in ms.
-  double LateMs(size_t i, const std::vector<WireRequest>& schedule) const;
+  double LatencyMs(size_t i) const { return static_cast<double>(done_ns[i] - due_ns[i]) / 1e6; }
+  /// How late request i was sent, in ms.
+  double LateMs(size_t i) const { return static_cast<double>(sent_ns[i] - due_ns[i]) / 1e6; }
 };
 
 class LoadClient {
@@ -51,9 +55,15 @@ class LoadClient {
   LoadClient(const LoadClient&) = delete;
   LoadClient& operator=(const LoadClient&) = delete;
 
-  /// Sends `schedule` (due times ascending) and collects every response,
-  /// giving up on stragglers `drain_timeout_s` after the last send.
+  /// Open loop: sends `schedule` (due times ascending) and collects every
+  /// response, giving up on stragglers `drain_timeout_s` after the last send.
   WireResult Run(const std::vector<WireRequest>& schedule, double drain_timeout_s);
+
+  /// Closed loop: sends `schedule` in order, ignoring its due times, with at
+  /// most `window` requests awaiting a response; gives up once no response
+  /// has arrived for `drain_timeout_s`.
+  WireResult RunWindowed(const std::vector<WireRequest>& schedule, size_t window,
+                         double drain_timeout_s);
 
  private:
   std::vector<int> fds_;

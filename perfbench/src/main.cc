@@ -49,6 +49,7 @@ void PrintResult(const Result& result) {
   json += result.check_failures.empty() ? "true" : "false";
   json += ", \"attempted\": " + std::to_string(result.attempted);
   json += ", \"failed\": " + std::to_string(result.failed);
+  if (!result.outputs.empty()) json += ", \"outputs\": \"" + JsonEscape(result.outputs) + "\"";
   json += ", \"metrics\": {";
   for (size_t i = 0; i < result.metrics.size(); ++i) {
     const auto& m = result.metrics[i];
@@ -75,14 +76,6 @@ int main(int argc, char** argv) {
   double* seconds = flags.AddDouble("seconds", 10.0, "measurement budget");
   bool* trace = flags.AddBool("trace", false, "traced run (per-layer metrics)");
   std::string* artifacts = flags.AddString("artifacts", "", "this build's artifact dir");
-  std::string* bundle = flags.AddString("bundle", "", "saved serving bundle");
-  int64_t* setup_repeats = flags.AddInt("setup_repeats", 3, "set-ups per run");
-  int64_t* connections = flags.AddInt("connections", 3, "client connections");
-  double* low_qps = flags.AddDouble("low_qps", 0, "low fixed rate");
-  double* high_qps = flags.AddDouble("high_qps", 0, "high fixed rate");
-  double* p99_limit_ms = flags.AddDouble("p99_limit_ms", 0, "ladder latency limit");
-  std::string* ladder = flags.AddString("ladder", "", "comma-separated ladder rates");
-  double* ladder_step_s = flags.AddDouble("ladder_step_s", 0.5, "seconds per ladder step");
   flags.Parse(argc - 1, argv + 1);
 
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
@@ -91,7 +84,7 @@ int main(int argc, char** argv) {
               dial::la::arch::TierName(dial::la::arch::ActiveTier()), PERFBENCH_BUILD_TYPE);
 
   if (command == "prepare") {
-    return perfbench::Prepare(*artifacts, *bundle) ? 0 : 1;
+    return perfbench::Prepare(*artifacts) ? 0 : 1;
   }
   if (command != "run") {
     std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
@@ -104,24 +97,12 @@ int main(int argc, char** argv) {
   options.seconds = *seconds;
   options.trace = *trace;
   options.artifacts = *artifacts;
-  options.setup_repeats = static_cast<size_t>(*setup_repeats);
-
-  perfbench::ServeConfig serve;
-  serve.bundle_path = *bundle;
-  serve.connections = static_cast<size_t>(*connections);
-  serve.low_qps = *low_qps;
-  serve.high_qps = *high_qps;
-  serve.p99_limit_ms = *p99_limit_ms;
-  for (const std::string& rate : dial::util::Split(*ladder, ",")) {
-    serve.ladder_qps.push_back(std::stod(rate));
-  }
-  serve.ladder_step_s = *ladder_step_s;
 
   Result result;
   if (options.workload == "al_smoke") {
     result = perfbench::RunAlSmoke(options);
   } else if (options.workload == "serve_match" || options.workload == "serve_mixed") {
-    result = perfbench::RunServe(options, serve, options.workload == "serve_mixed");
+    result = perfbench::RunServe(options, options.workload == "serve_mixed");
   } else {
     std::fprintf(stderr, "unknown workload '%s'\n", options.workload.c_str());
     return 2;

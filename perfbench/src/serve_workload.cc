@@ -1,16 +1,16 @@
-// serve_match / serve_mixed: open-loop traffic against an in-process
-// serve::Server over its real unix socket, with dial_serve's shipped
-// defaults (smoke-scale walmart_amazon bundle, 2 workers, max_batch 32,
-// 2 ms batching delay, 1024-slot ring, no deadlines, fp32).
+// serve_match / serve_mixed: traffic against an in-process serve::Server
+// over its real unix socket, with dial_serve's shipped defaults
+// (smoke-scale walmart_amazon bundle, 2 workers, max_batch 32, 2 ms
+// batching delay, 1024-slot ring, no deadlines, fp32).
 //
-// Timed run: set-up (bundle load + server start, repeated, median), a low
-// fixed rate (printed: an idle server's per-request overhead), a high fixed
-// rate (the gated p50: per-request cost with the workers awake, plus
-// queueing and batching), then a fixed ladder of rates for the highest
-// sustainable one. Traced run: the high-rate stream over the socket, then
-// the identical stream replayed in-process through each layer's public
-// entry points (serve::ParseJson, serve::Scheduler, serve::ServingBundle),
-// with spans recorded around the calls.
+// Timed run: set-up (bundle load + server start, repeated, median), then
+// three phases on one server: a low and a fixed open-loop rate (printed:
+// an idle server's per-request overhead, and latency well below capacity),
+// and a closed loop with a fixed number of requests in flight (the gated
+// p50 and throughput). Traced run: the fixed-rate stream over the socket,
+// then the identical stream replayed in-process through each layer's
+// public entry points (serve::ParseJson, serve::Scheduler,
+// serve::ServingBundle), with spans recorded around the calls.
 
 #include <unistd.h>
 
@@ -42,18 +42,49 @@ namespace {
 using dial::serve::ServeOp;
 using dial::serve::ServingBundle;
 
-/// Share of serve_mixed requests that mutate the index (upsert or retire),
-/// and of the rest, the share that are topk queries (the others are by-id
-/// matches). Retrieval dominates the reads, which also keeps the median
-/// inside the topk latency mode instead of on the edge between two modes.
+/// serve_mixed's traffic mix is an assumption, not measured traffic (the
+/// repository has no request log). Reads are mostly topk lookups of S
+/// texts (a record arriving to be matched), the rest by-id scoring of known
+/// pairs; a majority of one op also keeps the median inside one latency
+/// mode. Mutations are a 3% trickle, split retire : upsert = 1 : 2, the
+/// Remove : Add ratio of examples/streaming_dedup (per insert, 0.4
+/// keep-newest replacements and 0.1 delistings).
 constexpr double kMutationShare = 0.03;
-constexpr double kTopKShare = 0.7;
+constexpr double kTopKShare = 0.7;  // of the reads
 /// Records reserved for mutations. Matches never target them, so a match's
 /// expected probability never depends on mutation timing.
 constexpr size_t kMutationPool = 16;
+
+/// Client connections, driven by one writer and one reader thread.
+constexpr size_t kConnections = 3;
+/// The printed low rate: an idle server's per-request overhead.
+constexpr double kLowQps = 200;
+/// Requests in flight in the gated phase: one full batch.
+constexpr size_t kWindow = 32;
+/// The latency limit the throughput phase's p99 is printed against.
+constexpr double kP99LimitMs = 20;
+/// Shares of the budget: the low rate, the fixed rate, the gated phase.
+constexpr double kLowShare = 0.1;
+constexpr double kFixedShare = 0.3;
+constexpr double kWindowShare = 0.6;
+/// Requests per block of a phase (see RunServe).
+constexpr double kBlockRequests = 8192;
 /// How long stragglers may take after the last send before counting as
 /// missing.
 constexpr double kDrainTimeoutS = 5.0;
+
+struct Load {
+  /// The fixed open-loop rate (printed, and the traced stream), well below
+  /// the lowest throughput measured for the workload.
+  double fixed_qps;
+  /// Gated-phase requests per second of its budget share: between the
+  /// throughputs a 4-vCPU Xeon (AVX-512 tier) reached in its slow and fast
+  /// host states, so the phase lasts about its share there, and a slower
+  /// build simply takes longer.
+  double window_qps;
+};
+constexpr Load kMatchLoad{1000, 7500};
+constexpr Load kMixedLoad{2000, 20000};
 
 /// What one schedule slot asks for (kept for checks and for replay).
 struct OpInfo {
@@ -104,8 +135,7 @@ class Generator {
     pool_step_.assign(pool_.size(), 0);
   }
 
-  Phase Make(const std::string& name, double rate_qps, double seconds,
-             size_t connections) {
+  Phase Make(const std::string& name, double rate_qps, double seconds) {
     Phase phase;
     phase.name = name;
     std::unordered_map<uint32_t, int64_t> last_mutation;
@@ -116,7 +146,7 @@ class Generator {
       const size_t index = phase.schedule.size();
       WireRequest request;
       request.due_ns = static_cast<int64_t>(t * 1e9);
-      request.conn = index % connections;
+      request.conn = index % kConnections;
       OpInfo op;
       const std::string id = "\"id\":\"" + std::to_string(index) + "\"";
       const double u = mixed_ ? rng_.Uniform() : 1.0;
@@ -213,16 +243,34 @@ struct PhaseStats {
   size_t attempted = 0;
   /// Requests without an ok response; includes `overloaded`.
   size_t failed = 0;
-  /// Requests the full ring refused ("overload").
+  /// Requests the full ring refused ("overload"): admission, not a wrong
+  /// output, so they are counted but fail no check.
   size_t overloaded = 0;
   /// Requests outstanding when the last one was sent.
   size_t backlog_at_end = 0;
-  double achieved_qps = 0.0;
+  /// From the start to the last response.
+  double busy_s = 0.0;
   /// Mean requests per engine batch (socket runs only).
   double mean_batch = 0.0;
+
+  double achieved_qps() const {
+    return busy_s > 0 ? static_cast<double>(attempted - failed) / busy_s : 0.0;
+  }
+
+  /// Adds a later block of the same phase.
+  void Append(const PhaseStats& block) {
+    latency_ms.insert(latency_ms.end(), block.latency_ms.begin(), block.latency_ms.end());
+    late_ms.insert(late_ms.end(), block.late_ms.begin(), block.late_ms.end());
+    attempted += block.attempted;
+    failed += block.failed;
+    overloaded += block.overloaded;
+    backlog_at_end = block.backlog_at_end;
+    busy_s += block.busy_s;
+  }
 };
 
 /// Scores one phase's wire result and files its responses for the checks.
+/// A missing response or an error other than "overload" is a wrong output.
 PhaseStats Evaluate(const Phase& phase, const WireResult& wire, Observations& obs,
                     std::vector<std::string>& errors) {
   PhaseStats stats;
@@ -233,7 +281,7 @@ PhaseStats Evaluate(const Phase& phase, const WireResult& wire, Observations& ob
   for (size_t i = 0; i < n; ++i) {
     last_sent = std::max(last_sent, wire.sent_ns[i]);
     last_done = std::max(last_done, wire.done_ns[i]);
-    if (wire.sent_ns[i] != 0) stats.late_ms.push_back(wire.LateMs(i, phase.schedule));
+    if (wire.sent_ns[i] != 0) stats.late_ms.push_back(wire.LateMs(i));
   }
   for (size_t i = 0; i < n; ++i) {
     if (wire.done_ns[i] != 0 && wire.done_ns[i] > last_sent) ++stats.backlog_at_end;
@@ -241,7 +289,7 @@ PhaseStats Evaluate(const Phase& phase, const WireResult& wire, Observations& ob
     if (wire.done_ns[i] == 0 || response.find("\"status\":\"ok\"") == std::string::npos) {
       ++stats.failed;
       if (response.find("\"status\":\"overload\"") != std::string::npos) {
-        ++stats.overloaded;  // judged per phase by the caller
+        ++stats.overloaded;
         continue;
       }
       if (errors.size() < 5) {
@@ -251,7 +299,7 @@ PhaseStats Evaluate(const Phase& phase, const WireResult& wire, Observations& ob
       }
       continue;
     }
-    stats.latency_ms.push_back(wire.LatencyMs(i, phase.schedule));
+    stats.latency_ms.push_back(wire.LatencyMs(i));
     const OpInfo& op = phase.ops[i];
     switch (op.op) {
       case ServeOp::kMatch: {
@@ -292,9 +340,7 @@ PhaseStats Evaluate(const Phase& phase, const WireResult& wire, Observations& ob
         break;
     }
   }
-  const double window_s = static_cast<double>(last_done - wire.start_ns) / 1e9;
-  stats.achieved_qps =
-      window_s > 0 ? static_cast<double>(n - stats.failed) / window_s : 0.0;
+  stats.busy_s = static_cast<double>(last_done - wire.start_ns) / 1e9;
   return stats;
 }
 
@@ -303,22 +349,40 @@ PhaseStats Evaluate(const Phase& phase, const WireResult& wire, Observations& ob
 /// live counts.
 void CheckOutputs(ServingBundle& bundle, const Generator& gen,
                   const Observations& obs, Result& result) {
-  dial::autograd::InferenceContext ctx;
+  // Each distinct pair is scored once, by several threads (each with its
+  // own context, as the server's workers do); any batching gives the same
+  // bits (the engine's batching contract).
+  std::map<uint64_t, size_t> slot;  // pair key -> index into unique
+  std::vector<dial::data::PairId> unique;
+  for (const auto& pair : obs.match_pairs) {
+    const uint64_t key = (static_cast<uint64_t>(pair.r) << 32) | pair.s;
+    if (slot.emplace(key, unique.size()).second) unique.push_back(pair);
+  }
+  std::vector<float> reference(unique.size(), std::nanf(""));
+  const size_t threads = std::max(1u, std::thread::hardware_concurrency());
+  const size_t chunk = (unique.size() + threads - 1) / threads;
+  std::vector<std::thread> scorers;
+  for (size_t begin = 0; begin < unique.size(); begin += chunk) {
+    scorers.emplace_back([&, begin] {
+      dial::autograd::InferenceContext ctx;
+      const size_t end = std::min(unique.size(), begin + chunk);
+      for (size_t b = begin; b < end; b += 256) {
+        const size_t e = std::min(end, b + 256);
+        auto probs = bundle.MatchPairs(
+            ctx, std::vector<dial::data::PairId>(unique.begin() + static_cast<long>(b),
+                                                 unique.begin() + static_cast<long>(e)));
+        if (!probs.ok()) continue;  // NaN never matches: counted below
+        std::copy(probs.value().begin(), probs.value().end(),
+                  reference.begin() + static_cast<long>(b));
+      }
+    });
+  }
+  for (auto& scorer : scorers) scorer.join();
   size_t mismatched = 0;
-  // Any batching gives the same bits (the engine's batching contract).
-  for (size_t begin = 0; begin < obs.match_pairs.size(); begin += 256) {
-    const size_t end = std::min(obs.match_pairs.size(), begin + 256);
-    const std::vector<dial::data::PairId> pairs(obs.match_pairs.begin() + static_cast<long>(begin),
-                                                obs.match_pairs.begin() + static_cast<long>(end));
-    auto reference = bundle.MatchPairs(ctx, pairs);
-    if (!reference.ok()) {
-      mismatched += pairs.size();
-      continue;
-    }
-    for (size_t i = begin; i < end; ++i) {
-      const float want = reference.value()[i - begin];
-      if (std::memcmp(&want, &obs.match_probs[i], sizeof(float)) != 0) ++mismatched;
-    }
+  for (size_t i = 0; i < obs.match_pairs.size(); ++i) {
+    const auto& pair = obs.match_pairs[i];
+    const float want = reference[slot.at((static_cast<uint64_t>(pair.r) << 32) | pair.s)];
+    if (std::memcmp(&want, &obs.match_probs[i], sizeof(float)) != 0) ++mismatched;
   }
   result.Check(mismatched == 0, std::to_string(mismatched) + " of " +
                                     std::to_string(obs.match_pairs.size()) +
@@ -389,7 +453,7 @@ void PrintPhase(const std::string& label, const PhaseStats& s, double rate) {
       Percentile(s.latency_ms, 0.90), Percentile(s.latency_ms, 0.95),
       Percentile(s.latency_ms, 0.99), s.failed, Median(s.late_ms),
       Percentile(s.late_ms, 0.99), Percentile(s.late_ms, 1.0), s.backlog_at_end,
-      s.achieved_qps, s.mean_batch);
+      s.achieved_qps(), s.mean_batch);
 }
 
 // ---------------------------------------------------------------------------
@@ -403,6 +467,10 @@ struct ReplayTimes {
   dial::serve::SchedulerStats stats;
   /// Replayed requests whose bundle call returned an error.
   size_t failed = 0;
+  /// Requests the full ring refused (done stays 0 for them).
+  size_t rejected = 0;
+  /// Request lines ParseJson refused.
+  size_t unparsed = 0;
 };
 
 /// Requests i with i % stride == 0 are traced; the others only have their
@@ -494,8 +562,7 @@ ReplayTimes Replay(ServingBundle& bundle, const Phase& phase, size_t stride) {
       }
     }
     t.parse_start[i] = NowNs();
-    const bool parsed = dial::serve::ParseJson(wire.line).ok();
-    DIAL_CHECK(parsed) << wire.line;
+    if (!dial::serve::ParseJson(wire.line).ok()) ++t.unparsed;
     if (traced(i)) t.parse_end[i] = NowNs();
     const OpInfo& op = phase.ops[i];
     dial::serve::ServeRequest request;
@@ -511,7 +578,7 @@ ReplayTimes Replay(ServingBundle& bundle, const Phase& phase, size_t stride) {
           if (!response.status.ok()) failed.fetch_add(1, std::memory_order_relaxed);
           slot->store(NowNs(), std::memory_order_release);
         });
-    DIAL_CHECK(accepted) << "replay overloaded the scheduler ring";
+    if (!accepted) ++t.rejected;
   }
   scheduler.Drain();
   for (size_t i = 0; i < n; ++i) t.done[i] = done[i].load(std::memory_order_acquire);
@@ -524,7 +591,7 @@ ReplayTimes Replay(ServingBundle& bundle, const Phase& phase, size_t stride) {
 /// for parse, queue wait and the bundle call.
 void RecordSpans(const Phase& phase, const ReplayTimes& t, Tracer& tracer) {
   for (size_t i = 0; i < phase.schedule.size(); ++i) {
-    if (t.parse_end[i] == 0) continue;  // not traced
+    if (t.parse_end[i] == 0 || t.done[i] == 0) continue;  // not traced, or refused
     const auto request = static_cast<int64_t>(i);
     const int64_t root =
         tracer.Record(phase.name + ".request", t.parse_start[i], t.done[i], -1, request);
@@ -535,22 +602,22 @@ void RecordSpans(const Phase& phase, const ReplayTimes& t, Tracer& tracer) {
   }
 }
 
-Result TraceServe(const RunOptions& options, const ServeConfig& config, bool mixed,
-                  const std::string& socket_path) {
+Result TraceServe(const RunOptions& options, bool mixed, const std::string& socket_path) {
   Result result;
   const std::string& w = options.workload;
+  const std::string bundle_path = BundlePath(options.artifacts);
+  const double rate = (mixed ? kMixedLoad : kMatchLoad).fixed_qps;
   Tracer tracer;
 
   int64_t t0 = NowNs();
-  std::unique_ptr<ServingBundle> bundle = LoadBundle(config.bundle_path);
+  std::unique_ptr<ServingBundle> bundle = LoadBundle(bundle_path);
   const int64_t load_ns = NowNs() - t0;
   tracer.Record("serve.bundle.load", t0, t0 + load_ns, -1, -1);
 
   Generator gen(*bundle, mixed, options.seed);
-  const Phase high = gen.Make("high", config.high_qps, options.seconds * 0.25,
-                              config.connections);
+  const Phase fixed = gen.Make("fixed", rate, options.seconds * 0.4);
 
-  // Untraced socket run of the high-rate stream: the client latency the
+  // Untraced socket run of the fixed-rate stream: the client latency the
   // layers must add up to.
   Observations obs;
   std::vector<std::string> errors;
@@ -558,25 +625,26 @@ Result TraceServe(const RunOptions& options, const ServeConfig& config, bool mix
   {
     dial::serve::Server server(bundle.get(), ShippedServerOptions(socket_path));
     DIAL_CHECK(server.Start().ok());
-    LoadClient client(socket_path, config.connections);
-    wire = client.Run(high.schedule, kDrainTimeoutS);
+    LoadClient client(socket_path, kConnections);
+    wire = client.Run(fixed.schedule, kDrainTimeoutS);
     server.Stop();
   }
-  const PhaseStats socket_stats = Evaluate(high, wire, obs, errors);
+  const PhaseStats socket_stats = Evaluate(fixed, wire, obs, errors);
 
   // The identical stream replayed on a freshly loaded bundle (mutations must
   // not carry over), every other request traced.
-  bundle = LoadBundle(config.bundle_path);
-  const ReplayTimes replay = Replay(*bundle, high, /*stride=*/2);
-  result.attempted += 2 * high.schedule.size();
-  result.failed += socket_stats.failed + replay.failed;
-  RecordSpans(high, replay, tracer);
+  bundle = LoadBundle(bundle_path);
+  const ReplayTimes replay = Replay(*bundle, fixed, /*stride=*/2);
+  result.attempted += 2 * fixed.schedule.size();
+  result.failed += socket_stats.failed + replay.rejected + replay.failed;
+  RecordSpans(fixed, replay, tracer);
 
   // Residual: socket latency minus what the layers account for, per traced
   // request; overhead: traced minus untraced requests of the same replay.
   std::vector<double> residual_us, attributed_share, plain_us, traced_us;
   std::vector<double> client_us, parse_us, wait_ms, call_us;
-  for (size_t i = 0; i < high.schedule.size(); ++i) {
+  for (size_t i = 0; i < fixed.schedule.size(); ++i) {
+    if (replay.done[i] == 0) continue;  // refused by the ring
     const double e2e_us = static_cast<double>(replay.done[i] - replay.parse_start[i]) / 1e3;
     if (replay.parse_end[i] == 0) {
       plain_us.push_back(e2e_us);
@@ -587,22 +655,17 @@ Result TraceServe(const RunOptions& options, const ServeConfig& config, bool mix
     wait_ms.push_back(static_cast<double>(replay.exec[i] - replay.submit[i]) / 1e6);
     call_us.push_back(static_cast<double>(replay.call_end[i] - replay.call_start[i]) / 1e3);
     if (wire.done_ns[i] == 0) continue;
-    client_us.push_back(wire.LatencyMs(i, high.schedule) * 1e3);
+    client_us.push_back(wire.LatencyMs(i) * 1e3);
     const double layers_us = parse_us.back() + wait_ms.back() * 1e3 + call_us.back();
     residual_us.push_back(client_us.back() - layers_us);
     attributed_share.push_back(layers_us / client_us.back());
   }
 
-  // Spans never extend past their request's root, so self times reconcile.
-  const auto self = tracer.SelfTimesUs();
-  size_t negative_self = 0;
-  for (const auto& [name, values] : self) {
-    for (const double v : values) negative_self += v < 0 ? 1 : 0;
-  }
-  result.Check(negative_self == 0, std::to_string(negative_self) +
-                                       " spans with negative self time (children "
-                                       "outside their parent)");
-  result.Check(socket_stats.failed == 0, "socket run failed requests");
+  // Every span lies inside its request's root, so self times reconcile.
+  const size_t outside = tracer.SpansOutsideParent();
+  result.Check(outside == 0,
+               std::to_string(outside) + " spans start before or end after their request");
+  result.Check(replay.unparsed == 0, "ParseJson refused replayed request lines");
   result.Check(replay.failed == 0, "replayed bundle calls returned errors");
   for (const auto& e : errors) result.check_failures.push_back(e);
 
@@ -631,13 +694,15 @@ Result TraceServe(const RunOptions& options, const ServeConfig& config, bool mix
   result.Add(w + ".serve.server.residual_us", Median(residual_us), "us");
   result.Add(w + ".trace.overhead_us", Median(traced_us) - Median(plain_us), "us");
 
-  std::printf("[%s traced] %.0f/s, %zu requests, %zu spans\n", w.c_str(), config.high_qps,
-              high.schedule.size(), tracer.size());
+  std::printf("[%s traced] %.0f/s, %zu requests, %zu spans; socket run: %zu refused; "
+              "replay: %zu refused\n",
+              w.c_str(), rate, fixed.schedule.size(), tracer.size(), socket_stats.overloaded,
+              replay.rejected);
   std::printf("  client latency p50 %.1f us: parse %.1f + queue %.1f + bundle %.1f + "
               "residual %.1f us (medians; the layers cover %.0f%% of the median request)\n",
               Median(client_us), Median(parse_us), Median(wait_ms) * 1e3, Median(call_us),
               Median(residual_us), 100.0 * Median(attributed_share));
-  for (const auto& [name, values] : self) {
+  for (const auto& [name, values] : tracer.SelfTimesUs()) {
     std::printf("  self %-34s n %6zu  p50 %9.1f us  p99 %9.1f us\n", name.c_str(),
                 values.size(), Median(values), Percentile(values, 0.99));
   }
@@ -650,9 +715,11 @@ Result TraceServe(const RunOptions& options, const ServeConfig& config, bool mix
 
 }  // namespace
 
-Result RunServe(const RunOptions& options, const ServeConfig& config, bool mixed) {
+Result RunServe(const RunOptions& options, bool mixed) {
   const std::string socket_path = "perfbench-" + std::to_string(::getpid()) + ".sock";
-  if (options.trace) return TraceServe(options, config, mixed, socket_path);
+  if (options.trace) return TraceServe(options, mixed, socket_path);
+  const Load& load = mixed ? kMixedLoad : kMatchLoad;
+  const std::string bundle_path = BundlePath(options.artifacts);
 
   Result result;
   // Set-up: load the saved bundle and start the server, several times; the
@@ -660,11 +727,11 @@ Result RunServe(const RunOptions& options, const ServeConfig& config, bool mixed
   std::vector<double> setup_s;
   std::unique_ptr<ServingBundle> bundle;
   std::unique_ptr<dial::serve::Server> server;
-  for (size_t rep = 0; rep < options.setup_repeats; ++rep) {
+  for (size_t rep = 0; rep < kSetupRepeats; ++rep) {
     server.reset();
     bundle.reset();
     const int64_t t0 = NowNs();
-    bundle = LoadBundle(config.bundle_path);
+    bundle = LoadBundle(bundle_path);
     server = std::make_unique<dial::serve::Server>(bundle.get(),
                                                    ShippedServerOptions(socket_path));
     DIAL_CHECK(server->Start().ok());
@@ -674,12 +741,24 @@ Result RunServe(const RunOptions& options, const ServeConfig& config, bool mixed
   Generator gen(*bundle, mixed, options.seed);
   Observations obs;
   std::vector<std::string> errors;
-  LoadClient client(socket_path, config.connections);
+  LoadClient client(socket_path, kConnections);
   size_t overloaded = 0;
-  const auto run_phase = [&](const Phase& phase) {
+  // Runs `seconds` of requests at `rate` in blocks of at most
+  // kBlockRequests, so the client's buffers stay small. window 0: open loop
+  // at the due times; otherwise a closed loop with `window` in flight.
+  const auto run_phase = [&](const std::string& name, double rate, double seconds,
+                             size_t window) {
     const dial::serve::SchedulerStats before = server->scheduler_stats();
-    const WireResult wire = client.Run(phase.schedule, kDrainTimeoutS);
-    PhaseStats stats = Evaluate(phase, wire, obs, errors);
+    const size_t blocks = std::max<size_t>(
+        1, static_cast<size_t>(std::ceil(rate * seconds / kBlockRequests)));
+    PhaseStats stats;
+    for (size_t b = 0; b < blocks; ++b) {
+      const Phase block = gen.Make(name, rate, seconds / static_cast<double>(blocks));
+      const WireResult wire = window == 0
+                                  ? client.Run(block.schedule, kDrainTimeoutS)
+                                  : client.RunWindowed(block.schedule, window, kDrainTimeoutS);
+      stats.Append(Evaluate(block, wire, obs, errors));
+    }
     const dial::serve::SchedulerStats after = server->scheduler_stats();
     result.attempted += stats.attempted;
     result.failed += stats.failed;
@@ -693,57 +772,33 @@ Result RunServe(const RunOptions& options, const ServeConfig& config, bool mixed
   };
 
   std::printf("[%s] bundle %s: %zu R, %zu S records; %zu connections\n",
-              options.workload.c_str(), config.bundle_path.c_str(),
-              bundle->num_r_records(), bundle->num_s_records(), config.connections);
-  // The low rate is printed, not gated: an idle server's latency is mostly
-  // thread wake-up, which on a VM switches between a fast and a slow state
-  // for seconds at a time. The gated p50 is taken at the high rate, where
-  // the workers stay awake.
-  const PhaseStats low =
-      run_phase(gen.Make("low", config.low_qps, options.seconds * 0.25, config.connections));
-  PrintPhase("low", low, config.low_qps);
-  const PhaseStats high =
-      run_phase(gen.Make("high", config.high_qps, options.seconds * 0.25, config.connections));
-  PrintPhase("high", high, config.high_qps);
-  // Memory under the fixed-rate phases; read before the ladder, whose reach
-  // (and so its batch sizes) follows the machine's speed.
-  const double rss_mb = PeakRssMb();
-
-  // The ladder: fixed absolute rates, ascending; stop at the first rate that
-  // misses the p99 limit, leaves a growing backlog, or fails a request.
-  double best_qps = 0.0;
-  double best_rate = 0.0;
-  for (const double rate : config.ladder_qps) {
-    // A rate fails only if it misses the limits three times in a row: a
-    // host stall inside a short step must not end the ladder.
-    bool ok = false;
-    PhaseStats step;
-    for (int attempt = 0; attempt < 3 && !ok; ++attempt) {
-      step = run_phase(gen.Make("ladder-" + std::to_string(static_cast<int>(rate)), rate,
-                                config.ladder_step_s, config.connections));
-      PrintPhase("ladder", step, rate);
-      const double allowed_backlog = rate * config.p99_limit_ms / 1e3;
-      ok = step.failed == 0 && Percentile(step.latency_ms, 0.99) <= config.p99_limit_ms &&
-           static_cast<double>(step.backlog_at_end) <= allowed_backlog;
-      if (!ok) {
-        // Past capacity the full ring sheds load by design: a step that
-        // misses the limits may be refused, and that is not a failure.
-        result.failed -= step.overloaded;
-        overloaded -= step.overloaded;
-      }
-    }
-    if (!ok) break;
-    best_qps = step.achieved_qps;
-    best_rate = rate;
-  }
+              options.workload.c_str(), bundle_path.c_str(), bundle->num_r_records(),
+              bundle->num_s_records(), kConnections);
+  // The open-loop rates are printed, not gated: below capacity a request's
+  // latency is mostly thread wake-ups, which on a shared VM slowed up to 2.7x
+  // for seconds at a time.
+  const PhaseStats low = run_phase("low", kLowQps, options.seconds * kLowShare, 0);
+  PrintPhase("low", low, kLowQps);
+  const PhaseStats fixed =
+      run_phase("fixed", load.fixed_qps, options.seconds * kFixedShare, 0);
+  PrintPhase("fixed", fixed, load.fixed_qps);
+  // The gated phase: a closed loop that keeps kWindow requests in flight.
+  // Its request count is fixed by the seed and the budget, so a slower
+  // build takes longer instead of doing less.
+  const PhaseStats throughput =
+      run_phase("window", load.window_qps, options.seconds * kWindowShare, kWindow);
+  PrintPhase("window", throughput, 0);
+  const double throughput_p99 = Percentile(throughput.latency_ms, 0.99);
+  std::printf("  throughput with %zu in flight: %.0f/s, p99 %.3f ms (%s the %.0f ms limit)\n",
+              kWindow, throughput.achieved_qps(), throughput_p99,
+              throughput_p99 <= kP99LimitMs ? "within" : "over", kP99LimitMs);
   server->Stop();
   const dial::serve::SchedulerStats stats = server->scheduler_stats();
+  // Read before the checks, whose scoring threads are not the workload.
+  const double rss_mb = PeakRssMb();
 
   CheckOutputs(*bundle, gen, obs, result);
-  result.Check(result.failed == 0, std::to_string(result.failed) + " failed requests (" +
-                                       std::to_string(overloaded) + " refused as overload)");
   for (const auto& e : errors) result.check_failures.push_back(e);
-  result.Check(best_qps > 0, "no ladder rate met the limits");
 
   // Quality beside time (diagnostic): serve_match's decisions at 0.5 against
   // the gold duplicates; serve_mixed's topk recall of the gold R record.
@@ -771,19 +826,19 @@ Result RunServe(const RunOptions& options, const ServeConfig& config, bool mixed
   }
   std::printf("  totals: %zu requests, %zu failed (fail_frac %.4f), %llu batches, mean batch "
               "%.2f, max %zu, rejected %llu; match F1 %.3f on %zu pairs; topk recall %.3f on "
-              "%zu queries; %zu mutations; highest passing ladder rate %.0f/s\n",
+              "%zu queries; %zu mutations; %zu refused as overload\n",
               result.attempted, result.failed,
               result.attempted ? static_cast<double>(result.failed) / result.attempted : 0.0,
               static_cast<unsigned long long>(stats.batches), stats.mean_batch_size(),
               stats.max_batch_observed, static_cast<unsigned long long>(stats.rejected),
               tp ? 2.0 * tp / (2.0 * tp + fp + fn) : 0.0, obs.match_pairs.size(),
               asked ? static_cast<double>(found) / asked : 0.0, asked,
-              obs.mutations.size(), best_rate);
+              obs.mutations.size(), overloaded);
 
   result.Add("setup_s", Median(setup_s), "s");
   result.Add("rss_mb", rss_mb, "MB");
-  result.Add("p50_ms", Median(high.latency_ms), "ms");
-  result.Add("ops_per_s", best_qps, "1/s");
+  result.Add("p50_ms", Median(throughput.latency_ms), "ms");
+  result.Add("ops_per_s", throughput.achieved_qps(), "1/s");
   return result;
 }
 

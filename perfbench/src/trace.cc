@@ -18,6 +18,17 @@ size_t Tracer::size() const {
   return spans_.size();
 }
 
+size_t Tracer::SpansOutsideParent() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t outside = 0;
+  for (const Span& span : spans_) {
+    if (span.parent < 0) continue;
+    const Span& parent = spans_[static_cast<size_t>(span.parent)];
+    if (span.start_ns < parent.start_ns || span.end_ns > parent.end_ns) ++outside;
+  }
+  return outside;
+}
+
 std::map<std::string, std::vector<double>> Tracer::SelfTimesUs() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::vector<std::pair<int64_t, int64_t>>> children(spans_.size());

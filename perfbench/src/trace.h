@@ -36,6 +36,9 @@ class Tracer {
   /// children cover), in microseconds, grouped by span name.
   std::map<std::string, std::vector<double>> SelfTimesUs() const;
 
+  /// Spans that start before or end after the span that caused them.
+  size_t SpansOutsideParent() const;
+
   /// Writes every span as one JSON object per line.
   bool WriteJsonLines(const std::string& path) const;
 

@@ -2,7 +2,6 @@
 #define PERFBENCH_WORKLOADS_H_
 
 #include <string>
-#include <vector>
 
 #include "common.h"
 
@@ -17,27 +16,19 @@ namespace perfbench {
 /// repeated for the budget; pretrained model from the build's own cache.
 Result RunAlSmoke(const RunOptions& options);
 
-/// Fixed serving parameters, read from perfbench/config.json by run.py.
-struct ServeConfig {
-  std::string bundle_path;
-  size_t connections = 3;
-  double low_qps = 0.0;
-  double high_qps = 0.0;
-  /// The latency limit of the max-rate ladder, on the p99.
-  double p99_limit_ms = 0.0;
-  /// Ascending absolute rates; each step runs for ladder_step_s.
-  std::vector<double> ladder_qps;
-  double ladder_step_s = 0.5;
-};
+/// The saved serving bundle inside a build's artifact directory.
+inline std::string BundlePath(const std::string& artifacts) {
+  return artifacts + "/serve_smoke.bundle";
+}
 
 /// serve_match (mixed = false) and serve_mixed (mixed = true): open-loop
 /// traffic over the unix socket to an in-process serve::Server.
-Result RunServe(const RunOptions& options, const ServeConfig& config, bool mixed);
+Result RunServe(const RunOptions& options, bool mixed);
 
 /// One-time preparation of the build's artifacts: pretrains (or reuses) the
-/// TPLM for al_smoke and trains + saves the serving bundle.
-/// Returns false on failure.
-bool Prepare(const std::string& artifacts, const std::string& bundle_path);
+/// TPLM for al_smoke and trains + saves the serving bundle at
+/// BundlePath(artifacts). Returns false on failure.
+bool Prepare(const std::string& artifacts);
 
 }  // namespace perfbench
 
