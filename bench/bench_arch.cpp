@@ -1,15 +1,12 @@
 // Dispatch-tier microbenchmarks: the same binary's scalar / AVX2 / AVX-512
 // kernel instantiations (src/la/arch.h) measured against each other on the
 // three hot paths the dispatch layer covers — blocked GEMM, the PQ ADC scan,
-// and matcher pool scoring — plus the int8 quantized-inference axis
-// (src/la/quant.h) on GEMM and matcher scoring. CI's bench-smoke job
-// archives the records as BENCH_arch.json, so "what does runtime dispatch
-// buy on this machine" is a diffable number rather than folklore.
+// and matcher pool scoring. CI's bench-smoke job archives the records as
+// BENCH_arch.json, so "what does runtime dispatch buy on this machine" is a
+// diffable number rather than folklore.
 //
-// fp32 outputs are checked bit-identical across tiers before anything is
-// timed (the arch.h contract); the int8 rows are *not* comparable bit-wise
-// to fp32 — their quality gate is the F1-parity test in al_golden_test.
-// Serve-level QPS (the full socket + scheduler stack) lives in bench_serve;
+// Outputs are checked bit-identical across tiers before anything is timed
+// (the arch.h contract). Serve-level QPS (the full socket + scheduler stack) lives in bench_serve;
 // the matcher-scoring rows here isolate the per-worker compute those
 // requests bottleneck on.
 
@@ -25,7 +22,6 @@
 #include "la/arch.h"
 #include "la/kernels.h"
 #include "la/matrix.h"
-#include "la/quant.h"
 #include "text/vocab.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -102,7 +98,7 @@ int main(int argc, char** argv) {
   TierGuard guard;
 
   dial::bench::PrintHeader(
-      "Arch dispatch: one binary's scalar/AVX2/AVX-512 kernel tiers + int8",
+      "Arch dispatch: one binary's scalar/AVX2/AVX-512 kernel tiers",
       "runtime substrate — not a paper table");
   std::printf("detected tier: %s; runnable tiers:", arch::TierName(arch::DetectedTier()));
   for (arch::Tier t : tiers) std::printf(" %s", arch::TierName(t));
@@ -152,7 +148,6 @@ int main(int argc, char** argv) {
       json.Add("arch",
                {{"op", "gemm_nn"},
                 {"tier", arch::TierName(tier)},
-                {"precision", "fp32"},
                 {"scale", *scale},
                 {"m", std::to_string(d)},
                 {"threads", std::to_string(*threads)}},
@@ -160,38 +155,6 @@ int main(int argc, char** argv) {
                 {"pooled_ms", pooled_ms},
                 {"gflops", Gflops(d, d, d, ms)},
                 {"speedup_vs_scalar", speedup}},
-               total.Seconds() * 1000.0);
-    }
-
-    // int8 row per tier: per-row quantization of both operands + the exact
-    // int32 GEMM + dequant. Quantization is timed in (that is what the
-    // inference path pays per forward for activations; weights amortize).
-    dial::la::quant::QuantizedTensor qa, qb;
-    dial::la::quant::QuantizeTransposed(b, &qb);
-    for (arch::Tier tier : tiers) {
-      dial::util::WallTimer total;
-      arch::SetTier(tier);
-      const double ms = BestMs(n_reps, [&] {
-        dial::la::quant::QuantizeRows(a.data(), d, d, &qa);
-        dial::la::kernels::GemmInt8NT(d, d, d, qa.values.data(),
-                                      qa.scales.data(), qb.values.data(),
-                                      qb.scales.data(), nullptr, out.data());
-      });
-      const double speedup = ms > 0.0 ? scalar_ms / ms : 0.0;
-      table.AddRow({std::string(arch::TierName(tier)) + " int8",
-                    dial::util::TablePrinter::Num(ms, 2), "-",
-                    dial::util::TablePrinter::Num(Gflops(d, d, d, ms), 2),
-                    dial::util::TablePrinter::Num(speedup, 2)});
-      json.Add("arch",
-               {{"op", "gemm_nt"},
-                {"tier", arch::TierName(tier)},
-                {"precision", "int8"},
-                {"scale", *scale},
-                {"m", std::to_string(d)},
-                {"threads", "1"}},
-               {{"ms", ms},
-                {"gflops", Gflops(d, d, d, ms)},
-                {"speedup_vs_scalar_fp32", speedup}},
                total.Seconds() * 1000.0);
     }
     std::printf("%s\n", table.ToString().c_str());
@@ -231,7 +194,6 @@ int main(int argc, char** argv) {
       json.Add("arch",
                {{"op", "adc_scan"},
                 {"tier", arch::TierName(tier)},
-                {"precision", "fp32"},
                 {"scale", *scale},
                 {"codes", std::to_string(n)},
                 {"subspaces", std::to_string(m_sub)}},
@@ -245,8 +207,8 @@ int main(int argc, char** argv) {
 
   // -------------------------------------------------- matcher pool scoring
   // The serving/selection hot loop: engine-batched PredictProbs over a
-  // >= 1k-pair pool, per tier, fp32 and int8. Untrained weights — throughput
-  // depends on shapes only.
+  // >= 1k-pair pool, per tier. Untrained weights — throughput depends on
+  // shapes only.
   {
     const auto bundle =
         dial::data::MakeDataset("dblp_acm", dial::data::Scale::kSmoke, 17);
@@ -265,7 +227,7 @@ int main(int argc, char** argv) {
     dial::core::PairEncodingCache cache(&bundle, &vocab, config.max_pair_len);
     matcher.PredictProbs(cache, pairs);  // warm the tokenization cache
 
-    // fp32 parity across tiers before timing.
+    // Parity across tiers before timing.
     arch::SetTier(arch::Tier::kScalar);
     const std::vector<float> scalar_probs = matcher.PredictProbs(cache, pairs);
     for (arch::Tier tier : tiers) {
@@ -276,46 +238,32 @@ int main(int argc, char** argv) {
     }
 
     dial::util::TablePrinter table(
-        {"matcher tier", "precision", "ms", "pairs/s", "vs scalar fp32"});
+        {"matcher tier", "ms", "pairs/s", "vs scalar"});
     double scalar_ms = 0.0;
-    for (const auto precision :
-         {dial::autograd::Precision::kFloat32, dial::autograd::Precision::kInt8}) {
-      matcher.SetInferencePrecision(precision);
-      const char* pname = dial::autograd::PrecisionName(precision);
-      for (arch::Tier tier : tiers) {
-        dial::util::WallTimer total;
-        arch::SetTier(tier);
-        const double ms =
-            BestMs(n_reps, [&] { matcher.PredictProbs(cache, pairs); });
-        if (precision == dial::autograd::Precision::kFloat32 &&
-            tier == arch::Tier::kScalar) {
-          scalar_ms = ms;
-        }
-        const double speedup = ms > 0.0 ? scalar_ms / ms : 0.0;
-        table.AddRow({arch::TierName(tier), pname,
-                      dial::util::TablePrinter::Num(ms, 1),
-                      dial::util::TablePrinter::Num(PerSecond(pairs.size(), ms), 0),
-                      dial::util::TablePrinter::Num(speedup, 2)});
-        json.Add("arch",
-                 {{"op", "matcher_predict"},
-                  {"tier", arch::TierName(tier)},
-                  {"precision", pname},
-                  {"scale", *scale},
-                  {"pairs", std::to_string(pairs.size())}},
-                 {{"ms", ms},
-                  {"pairs_per_s", PerSecond(pairs.size(), ms)},
-                  {"speedup_vs_scalar_fp32", speedup}},
-                 total.Seconds() * 1000.0);
-      }
+    for (arch::Tier tier : tiers) {
+      dial::util::WallTimer total;
+      arch::SetTier(tier);
+      const double ms =
+          BestMs(n_reps, [&] { matcher.PredictProbs(cache, pairs); });
+      if (tier == arch::Tier::kScalar) scalar_ms = ms;
+      const double speedup = ms > 0.0 ? scalar_ms / ms : 0.0;
+      table.AddRow({arch::TierName(tier), dial::util::TablePrinter::Num(ms, 1),
+                    dial::util::TablePrinter::Num(PerSecond(pairs.size(), ms), 0),
+                    dial::util::TablePrinter::Num(speedup, 2)});
+      json.Add("arch",
+               {{"op", "matcher_predict"},
+                {"tier", arch::TierName(tier)},
+                {"scale", *scale},
+                {"pairs", std::to_string(pairs.size())}},
+               {{"ms", ms},
+                {"pairs_per_s", PerSecond(pairs.size(), ms)},
+                {"speedup_vs_scalar", speedup}},
+               total.Seconds() * 1000.0);
     }
-    matcher.SetInferencePrecision(dial::autograd::Precision::kFloat32);
     std::printf("%s\n", table.ToString().c_str());
   }
 
-  std::printf(
-      "fp32 rows are bit-identical across tiers (checked before timing);\n"
-      "int8 rows change numerics and are gated by the AL golden F1-parity "
-      "test.\n");
+  std::printf("rows are bit-identical across tiers (checked before timing)\n");
   if (!json.WriteTo(*json_out)) return 1;
   return 0;
 }

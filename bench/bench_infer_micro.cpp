@@ -1,14 +1,8 @@
-// Inference-engine microbenchmarks: the tape-free batched forward path vs
-// the per-sequence Tape forward on the two pool-facing hot loops — matcher
-// PredictProbs over a >= 1k-pair candidate set and single-mode embedding of
-// every record — plus the cross-sequence-batching axis (batched vs packs of
-// one) and the pooled-thread axis. CI's bench-smoke job archives the records
-// as BENCH_infer.json; `speedup_engine` on matcher_predict is the acceptance
-// gate for the engine (>= 2x single-thread throughput vs the Tape path).
-//
-// Both paths run the same weights on the same encoded pairs and are checked
-// bit-identical before anything is timed, so the recorded ratio is pure
-// bookkeeping + arithmetic-intensity win, not a numerics change.
+// Inference-engine microbenchmarks on the two pool-facing hot loops —
+// matcher PredictProbs over a >= 1k-pair candidate set and single-mode
+// embedding of every record — with the cross-sequence-batching axis
+// (batched vs packs of one) and the pooled-thread axis. CI's bench-smoke job
+// archives the records as BENCH_infer.json.
 
 #include <cmath>
 #include <cstdio>
@@ -63,7 +57,7 @@ int main(int argc, char** argv) {
   const size_t n_reps = static_cast<size_t>(*reps);
 
   dial::bench::PrintHeader(
-      "Inference micro: tape-free batched engine vs per-sequence Tape",
+      "Inference micro: tape-free batched engine, batching and pooled axes",
       "runtime substrate of Table 9 predict/embed — not a paper table");
 
   // Realistic record text (the dblp_acm generator), one untrained matcher:
@@ -96,26 +90,12 @@ int main(int argc, char** argv) {
   dial::util::ThreadPool pool(static_cast<size_t>(*threads));
   dial::bench::BenchJsonWriter json;
 
-  // Warm the tokenization cache so both paths time pure model forwards.
+  // Warm the tokenization cache so every column times pure model forwards.
   matcher.PredictProbs(cache, pairs);
-
-  // Parity gate: tape and engine must agree bit for bit before timing.
-  matcher.SetInferenceEngine(false);
-  const std::vector<float> tape_probs = matcher.PredictProbs(cache, pairs);
-  matcher.SetInferenceEngine(true);
-  const std::vector<float> engine_probs = matcher.PredictProbs(cache, pairs);
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    DIAL_CHECK(tape_probs[i] == engine_probs[i])
-        << "tape/engine probability mismatch at pair " << i;
-  }
 
   // ------------------------------------------------- matcher PredictProbs
   {
     dial::util::WallTimer total;
-    matcher.SetInferenceEngine(false);
-    const double tape_ms =
-        BestMs(n_reps, [&] { matcher.PredictProbs(cache, pairs); });
-    matcher.SetInferenceEngine(true);
     const double engine_ms =
         BestMs(n_reps, [&] { matcher.PredictProbs(cache, pairs); });
     matcher.SetThreadPool(&pool);
@@ -123,16 +103,14 @@ int main(int argc, char** argv) {
         BestMs(n_reps, [&] { matcher.PredictProbs(cache, pairs); });
     matcher.SetThreadPool(nullptr);
 
-    const double speedup = engine_ms > 0.0 ? tape_ms / engine_ms : 0.0;
     const double pool_speedup =
         engine_pool_ms > 0.0 ? engine_ms / engine_pool_ms : 0.0;
-    dial::util::TablePrinter table({"op", "tape ms", "engine ms", "pooled ms",
-                                    "pairs/s", "engine vs tape"});
-    table.AddRow({"predict_probs", dial::util::TablePrinter::Num(tape_ms, 1),
-                  dial::util::TablePrinter::Num(engine_ms, 1),
+    dial::util::TablePrinter table(
+        {"op", "engine ms", "pooled ms", "pairs/s", "pooled speedup"});
+    table.AddRow({"predict_probs", dial::util::TablePrinter::Num(engine_ms, 1),
                   dial::util::TablePrinter::Num(engine_pool_ms, 1),
                   dial::util::TablePrinter::Num(PerSecond(pairs.size(), engine_ms), 0),
-                  dial::util::TablePrinter::Num(speedup, 2)});
+                  dial::util::TablePrinter::Num(pool_speedup, 2)});
     std::printf("%s\n", table.ToString().c_str());
 
     json.Add("infer_micro",
@@ -140,11 +118,9 @@ int main(int argc, char** argv) {
               {"scale", *scale},
               {"pairs", std::to_string(pairs.size())},
               {"threads", std::to_string(*threads)}},
-             {{"tape_ms", tape_ms},
-              {"engine_ms", engine_ms},
+             {{"engine_ms", engine_ms},
               {"engine_pool_ms", engine_pool_ms},
               {"pairs_per_s_engine", PerSecond(pairs.size(), engine_ms)},
-              {"speedup_engine", speedup},
               {"speedup_pooled", pool_speedup}},
              total.Seconds() * 1000.0);
   }
@@ -183,10 +159,6 @@ int main(int argc, char** argv) {
   // ------------------------------------------------- single-mode embedding
   {
     dial::util::WallTimer total;
-    matcher.SetInferenceEngine(false);
-    const double tape_ms =
-        BestMs(n_reps, [&] { matcher.EmbedSingleMode(records); });
-    matcher.SetInferenceEngine(true);
     const double engine_ms =
         BestMs(n_reps, [&] { matcher.EmbedSingleMode(records); });
     matcher.SetThreadPool(&pool);
@@ -194,14 +166,14 @@ int main(int argc, char** argv) {
         BestMs(n_reps, [&] { matcher.EmbedSingleMode(records); });
     matcher.SetThreadPool(nullptr);
 
-    const double speedup = engine_ms > 0.0 ? tape_ms / engine_ms : 0.0;
-    dial::util::TablePrinter table({"op", "tape ms", "engine ms", "pooled ms",
-                                    "records/s", "engine vs tape"});
-    table.AddRow({"embed_single", dial::util::TablePrinter::Num(tape_ms, 1),
-                  dial::util::TablePrinter::Num(engine_ms, 1),
+    const double pool_speedup =
+        engine_pool_ms > 0.0 ? engine_ms / engine_pool_ms : 0.0;
+    dial::util::TablePrinter table(
+        {"op", "engine ms", "pooled ms", "records/s", "pooled speedup"});
+    table.AddRow({"embed_single", dial::util::TablePrinter::Num(engine_ms, 1),
                   dial::util::TablePrinter::Num(engine_pool_ms, 1),
                   dial::util::TablePrinter::Num(PerSecond(records.size(), engine_ms), 0),
-                  dial::util::TablePrinter::Num(speedup, 2)});
+                  dial::util::TablePrinter::Num(pool_speedup, 2)});
     std::printf("%s\n", table.ToString().c_str());
 
     json.Add("infer_micro",
@@ -209,11 +181,10 @@ int main(int argc, char** argv) {
               {"scale", *scale},
               {"records", std::to_string(records.size())},
               {"threads", std::to_string(*threads)}},
-             {{"tape_ms", tape_ms},
-              {"engine_ms", engine_ms},
+             {{"engine_ms", engine_ms},
               {"engine_pool_ms", engine_pool_ms},
               {"records_per_s_engine", PerSecond(records.size(), engine_ms)},
-              {"speedup_engine", speedup}},
+              {"speedup_pooled", pool_speedup}},
              total.Seconds() * 1000.0);
   }
 

@@ -10,14 +10,9 @@
 // paper's reconstruct-every-round protocol), and the table adds the
 // per-round index build cost under both — the round-2+ speedup that
 // motivates VectorIndex::Refresh. `--refresh_json_out` archives those
-// records separately (CI's BENCH_refresh.json companion).
-//
-// The inference axis: a third run per dataset routes all model forwards
-// through the per-sequence Tape path (engine=tape) instead of the tape-free
-// batched engine, splitting out the predict (matcher PredictProbs over cand)
-// and embed (single-mode embedding of R and S) columns — results are
-// bit-identical, so the speedup is pure engine win, archived per push as the
-// `table9_inference` records.
+// records separately (CI's BENCH_refresh.json companion). The predict
+// (matcher PredictProbs over cand) and embed (single-mode embedding of R and
+// S) columns split out the inference engine's share of the round.
 
 #include "bench_common.h"
 
@@ -37,22 +32,14 @@ int main(int argc, char** argv) {
   std::vector<std::string> datasets = flags.DatasetList();
   dial::bench::BenchJsonWriter json;
   dial::bench::BenchJsonWriter refresh_json;
-  dial::util::TablePrinter out({"Dataset", "refresh", "engine",
-                                "Train Matcher (s)", "Train Committee (s)",
-                                "Index+Retrieve (s)", "Idx build r1 (ms)",
-                                "Idx build r2+ (ms)", "Predict (s)",
-                                "Embed (s)", "Selection (s)"});
-  struct Mode {
-    bool refresh;
-    bool inference;
-  };
-  const Mode modes[] = {{false, true}, {true, true}, {true, false}};
+  dial::util::TablePrinter out({"Dataset", "refresh", "Train Matcher (s)",
+                                "Train Committee (s)", "Index+Retrieve (s)",
+                                "Idx build r1 (ms)", "Idx build r2+ (ms)",
+                                "Predict (s)", "Embed (s)", "Selection (s)"});
   for (const std::string& dataset : datasets) {
     auto& exp = dial::bench::GetExperiment(dataset, scale);
     double build_r2_rebuild_ms = 0.0;  // refresh=off round-2+ baseline
-    double engine_predict_s = 0.0;     // engine columns of the refresh=on run
-    double engine_embed_s = 0.0;
-    for (const Mode& mode : modes) {
+    for (const bool refresh : {false, true}) {
       dial::util::WallTimer timer;
       const auto result = dial::bench::RunStrategy(
           exp, scale, dial::core::BlockingStrategy::kDial,
@@ -60,8 +47,7 @@ int main(int argc, char** argv) {
           [&](dial::core::AlConfig& config) {
             config.num_threads = static_cast<size_t>(*threads);
             config.index_backend = dial::core::ParseIndexBackend(*backend);
-            config.index_refresh = mode.refresh;
-            config.inference_engine = mode.inference;
+            config.index_refresh = refresh;
           });
       const double wall_ms = timer.Seconds() * 1000.0;
       const auto& last = result.rounds.back();
@@ -76,13 +62,8 @@ int main(int argc, char** argv) {
         }
         build_r2_ms /= static_cast<double>(result.rounds.size() - 1);
       }
-      if (!mode.refresh) build_r2_rebuild_ms = build_r2_ms;
-      if (mode.refresh && mode.inference) {
-        engine_predict_s = last.t_predict;
-        engine_embed_s = last.t_embed;
-      }
-      const char* engine_name = mode.inference ? "batched" : "tape";
-      out.AddRow({dataset, mode.refresh ? "on" : "off", engine_name,
+      if (!refresh) build_r2_rebuild_ms = build_r2_ms;
+      out.AddRow({dataset, refresh ? "on" : "off",
                   dial::util::StrFormat("%.2f", last.t_train_matcher),
                   dial::util::StrFormat("%.2f", last.t_train_committee),
                   dial::util::StrFormat("%.3f", last.t_index_retrieve),
@@ -97,8 +78,7 @@ int main(int argc, char** argv) {
                 {"rounds", std::to_string(result.rounds.size())},
                 {"threads", std::to_string(*threads)},
                 {"backend", *backend},
-                {"refresh", mode.refresh ? "on" : "off"},
-                {"engine", engine_name}},
+                {"refresh", refresh ? "on" : "off"}},
                {{"train_matcher_s", last.t_train_matcher},
                 {"train_committee_s", last.t_train_committee},
                 {"index_retrieve_s", last.t_index_retrieve},
@@ -110,7 +90,7 @@ int main(int argc, char** argv) {
                 {"cand_recall", last.cand_recall},
                 {"test_f1", last.test_prf.f1}},
                wall_ms);
-      if (mode.refresh && mode.inference) {
+      if (refresh) {
         const double speedup =
             build_r2_ms > 0.0 ? build_r2_rebuild_ms / build_r2_ms : 0.0;
         refresh_json.Add(
@@ -124,25 +104,6 @@ int main(int argc, char** argv) {
              {"round2_speedup", speedup},
              {"warm_members", static_cast<double>(warm_members)}},
             wall_ms);
-      }
-      if (mode.refresh && !mode.inference) {
-        // Tape-vs-engine record: same refresh=on protocol, only the
-        // inference path differs (outputs are bit-identical).
-        json.Add("table9_inference",
-                 {{"dataset", dataset},
-                  {"scale", *flags.scale},
-                  {"backend", *backend},
-                  {"threads", std::to_string(*threads)}},
-                 {{"predict_tape_s", last.t_predict},
-                  {"predict_engine_s", engine_predict_s},
-                  {"predict_speedup", engine_predict_s > 0.0
-                                          ? last.t_predict / engine_predict_s
-                                          : 0.0},
-                  {"embed_tape_s", last.t_embed},
-                  {"embed_engine_s", engine_embed_s},
-                  {"embed_speedup",
-                   engine_embed_s > 0.0 ? last.t_embed / engine_embed_s : 0.0}},
-                 wall_ms);
       }
     }
   }

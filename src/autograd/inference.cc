@@ -55,52 +55,6 @@ void InferenceContext::Clear() {
   free_.clear();
   allocated_ = 0;
   bytes_ = 0;
-  std::lock_guard<std::mutex> qlock(quant_mu_);
-  quant_cache_.clear();
-  quant_epoch_ = 0;
-}
-
-bool ParsePrecision(const std::string& text, Precision* out) {
-  if (text == "fp32" || text == "float32") {
-    *out = Precision::kFloat32;
-    return true;
-  }
-  if (text == "int8") {
-    *out = Precision::kInt8;
-    return true;
-  }
-  return false;
-}
-
-const char* PrecisionName(Precision precision) {
-  switch (precision) {
-    case Precision::kFloat32:
-      return "fp32";
-    case Precision::kInt8:
-      return "int8";
-  }
-  return "fp32";
-}
-
-std::shared_ptr<const la::quant::QuantizedTensor>
-InferenceContext::QuantizedTransposed(const la::Matrix& w) {
-  const uint64_t epoch = la::quant::WeightEpoch();
-  std::lock_guard<std::mutex> lock(quant_mu_);
-  if (epoch != quant_epoch_) {
-    // Some parameter somewhere changed; address keys may be stale too
-    // (module rebuilds bump the epoch), so drop everything and requantize
-    // lazily. Weight quantization is O(weights) once per training step /
-    // load, amortized over every forward until the next one.
-    quant_cache_.clear();
-    quant_epoch_ = epoch;
-  }
-  auto& entry = quant_cache_[&w];
-  if (entry == nullptr) {
-    auto q = std::make_shared<la::quant::QuantizedTensor>();
-    la::quant::QuantizeTransposed(w, q.get());
-    entry = std::move(q);
-  }
-  return entry;
 }
 
 namespace infer {

@@ -4,12 +4,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "la/matrix.h"
-#include "la/quant.h"
 
 /// \file
 /// Tape-free forward mode: the inference-engine counterpart of `Tape`.
@@ -35,21 +33,6 @@ class ThreadPool;
 }
 
 namespace dial::autograd {
-
-/// Numeric mode for the engine's linear sublayers. kInt8 swaps each
-/// Linear::InferForward GEMM for per-row-scaled int8 (see la/quant.h) —
-/// NOT bit-identical to fp32; it is gated by the F1-parity test in the AL
-/// golden harness instead. Everything that is not a Linear matmul (layer
-/// norm, attention scores, activations) stays fp32 in either mode.
-enum class Precision {
-  kFloat32 = 0,
-  kInt8 = 1,
-};
-
-/// Parses "fp32"/"int8" (the AlConfig / --precision spellings). Returns
-/// false on unknown text.
-bool ParsePrecision(const std::string& text, Precision* out);
-const char* PrecisionName(Precision precision);
 
 /// Shape-keyed scratch-matrix arena plus the worker pool shared by every
 /// forward that runs through it. One context per model instance is the
@@ -84,20 +67,6 @@ class InferenceContext {
   /// Frees every cached buffer (all borrows must have been returned).
   void Clear();
 
-  /// Numeric mode for Linear sublayers routed through this context.
-  /// Defaults to kFloat32; serving/AL set it from AlConfig /
-  /// --precision. Safe to flip between forwards, not during one.
-  void SetPrecision(Precision precision) { precision_ = precision; }
-  Precision precision() const { return precision_; }
-
-  /// Cached per-row int8 quantization of w^T (see la::quant). Entries are
-  /// keyed by matrix address and validated against la::quant::WeightEpoch():
-  /// any optimizer step / checkpoint load / module construction bumps the
-  /// epoch and the whole cache lazily rebuilds. Thread-safe; the returned
-  /// shared_ptr stays valid even if the cache refreshes mid-use.
-  std::shared_ptr<const la::quant::QuantizedTensor> QuantizedTransposed(
-      const la::Matrix& w);
-
  private:
   static uint64_t Key(size_t rows, size_t cols) {
     return (static_cast<uint64_t>(rows) << 32) | static_cast<uint64_t>(cols);
@@ -109,13 +78,6 @@ class InferenceContext {
   size_t allocated_ = 0;
   size_t bytes_ = 0;
   util::ThreadPool* pool_ = nullptr;  // unowned; null = inline execution
-  Precision precision_ = Precision::kFloat32;
-
-  mutable std::mutex quant_mu_;
-  uint64_t quant_epoch_ = 0;
-  std::unordered_map<const la::Matrix*,
-                     std::shared_ptr<const la::quant::QuantizedTensor>>
-      quant_cache_;
 };
 
 /// RAII borrow of one arena matrix; movable so layer forwards can return it.

@@ -59,20 +59,6 @@ struct AlConfig {
   /// checkpoint fingerprint: a run checkpointed at one thread count resumes
   /// exactly under another.
   size_t num_threads = 0;
-  /// Route all model inference (pool scoring, embedding, committee encode)
-  /// through the tape-free batched inference engine instead of per-sequence
-  /// Tapes. Outputs are bit-identical either way (inference_test pins this),
-  /// so — like num_threads — it is excluded from the checkpoint fingerprint;
-  /// `false` is the tape-path baseline the bench axis measures against.
-  bool inference_engine = true;
-  /// Numeric mode for the inference engine's linear sublayers: "fp32"
-  /// (default) or "int8" (per-row-scaled weight + activation quantization,
-  /// la/quant.h). Unlike inference_engine, int8 is NOT bit-identical to the
-  /// Tape path — it changes pool scores and therefore AL trajectories — so a
-  /// non-default value IS hashed into the checkpoint fingerprint (the
-  /// default is skipped to keep existing fp32 checkpoints resumable). Gated
-  /// by the F1-parity test in the AL golden harness; training stays fp32.
-  std::string inference_precision = "fp32";
   /// Warm-start the blocker indexes across rounds: rounds >= 2 Refresh the
   /// previous round's indexes (reusing trained centroids/codebooks/planes)
   /// instead of reconstructing them. `false` is the ablation/fallback path

@@ -39,8 +39,10 @@ CommitteeMember::CommitteeMember(std::string name, size_t dim, double mask_keep_
     : Module(name),
       mask_(1, dim),
       linear_(name + ".u", dim, dim, rng),
-      normalize_output_(normalize_output),
-      scratch_rng_(rng.Next()) {
+      normalize_output_(normalize_output) {
+  // Reserved draw: skipping it would shift every later member's
+  // initialization, and with it the pinned AL goldens.
+  rng.Next();
   // Fixed random mask; guarantee at least one kept dimension.
   size_t kept = 0;
   for (size_t c = 0; c < dim; ++c) {
@@ -93,14 +95,7 @@ la::Matrix CommitteeMember::TransformWith(autograd::InferenceContext& ctx,
 }
 
 la::Matrix CommitteeMember::Transform(const la::Matrix& embeddings) {
-  if (use_inference_) {
-    return TransformWith(infer_ctx_, embeddings);
-  }
-  autograd::Tape tape;
-  tape.SetThreadPool(pool_);
-  nn::ForwardContext ctx{&tape, &scratch_rng_, /*training=*/false};
-  Var out = Forward(ctx, tape.Constant(embeddings));
-  return out.value();
+  return TransformWith(infer_ctx_, embeddings);
 }
 
 void CommitteeMember::SaveState(util::BinaryWriter& writer) {

@@ -126,27 +126,7 @@ class Matcher {
     infer_ctx_.SetThreadPool(pool);
   }
 
-  /// Toggles the tape-free batched inference engine behind PredictProbs /
-  /// BadgeEmbeddings / PairRepresentations / EmbedSingleMode (default on).
-  /// `false` reverts to the one-sequence-per-Tape path — outputs are
-  /// bit-identical either way (asserted in inference_test); the switch
-  /// exists for parity tests and the tape-vs-engine bench axis. Training
-  /// always uses the Tape.
-  void SetInferenceEngine(bool on) { use_inference_ = on; }
-  bool inference_engine() const { return use_inference_; }
-
-  /// Numeric mode for the engine's linear sublayers (default fp32). int8 is
-  /// NOT bit-identical — it is gated by the F1-parity test in the AL golden
-  /// harness; training always stays fp32 on the Tape.
-  void SetInferencePrecision(autograd::Precision precision) {
-    infer_ctx_.SetPrecision(precision);
-  }
-
  private:
-  /// Probability and optional penultimate activation for one pair (the Tape
-  /// fallback path).
-  float ForwardProb(const text::EncodedSequence& seq, la::Matrix* penultimate);
-
   /// Gathers the cached pair encodings for `query` (in order).
   std::vector<const text::EncodedSequence*> GatherPairSeqs(
       PairEncodingCache& pairs, const std::vector<data::PairId>& query);
@@ -171,7 +151,6 @@ class Matcher {
   util::Rng rng_;
   util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
-  bool use_inference_ = true;
 };
 
 }  // namespace dial::core

@@ -51,17 +51,6 @@ class SentenceBertBlocker {
     infer_ctx_.SetThreadPool(pool);
   }
 
-  /// Tape-free batched embedding (default on); `false` reverts to the
-  /// one-sequence-per-Tape path. Bit-identical either way; training always
-  /// uses the Tape.
-  void SetInferenceEngine(bool on) { use_inference_ = on; }
-
-  /// Numeric mode for the engine's linear sublayers (default fp32; see
-  /// Matcher::SetInferencePrecision).
-  void SetInferencePrecision(autograd::Precision precision) {
-    infer_ctx_.SetPrecision(precision);
-  }
-
  private:
   la::Matrix Embed(const std::vector<const text::EncodedSequence*>& seqs);
 
@@ -71,7 +60,6 @@ class SentenceBertBlocker {
   util::Rng rng_;
   util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
-  bool use_inference_ = true;
 };
 
 }  // namespace dial::core

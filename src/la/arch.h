@@ -23,8 +23,7 @@
 /// wall-clock only, never results — tests/arch_test.cc asserts this for every
 /// tier the running CPU can reach, and the repo-wide threaded ≡ inline
 /// invariant is preserved per tier (threads still split output rows, never
-/// reductions). The int8 kernels accumulate exactly in int32, so they too are
-/// bit-identical across tiers.
+/// reductions).
 ///
 /// Overrides: the `DIAL_FORCE_ARCH` environment variable (one of `scalar`,
 /// `avx2`, `avx512`, `neon`, `native`) pins the tier at first kernel use, so
@@ -98,10 +97,6 @@ struct KernelTable {
                    size_t m);
   void (*adc_scan)(const float* table, size_t ksub, const uint8_t* codes,
                    size_t m, size_t n, float* out);
-  void (*gemm_int8_nt_range)(size_t i_begin, size_t i_end, size_t n, size_t k,
-                             const int8_t* a, const float* a_scales,
-                             const int8_t* b, const float* b_scales,
-                             const float* bias, float* out);
 };
 
 /// The table kernels.cc dispatches through (never null; initialized from
@@ -122,7 +117,6 @@ const KernelTable* NeonKernelTable();
     &ns::Dot, &ns::SquaredDistance, &ns::DotBatch, &ns::SquaredDistanceBatch,\
         &ns::NormsSquared, &ns::SquaredDistanceFromDots, &ns::GemmNNRange,   \
         &ns::GemmTNRange, &ns::GemmNTRange, &ns::AdcOne, &ns::AdcScan,       \
-        &ns::GemmInt8NTRange,                                                \
   }
 
 }  // namespace dial::la::arch

@@ -116,15 +116,4 @@ void AdcDistanceScan(const float* table, size_t ksub, const uint8_t* codes,
   arch::Active().adc_scan(table, ksub, codes, m, n, out);
 }
 
-void GemmInt8NT(size_t m, size_t n, size_t k, const int8_t* a,
-                const float* a_scales, const int8_t* b, const float* b_scales,
-                const float* bias, float* out, util::ThreadPool* pool) {
-  if (m == 0 || n == 0) return;
-  const arch::KernelTable& table = arch::Active();
-  util::ParallelFor(pool, m, [=, &table](size_t begin, size_t end) {
-    table.gemm_int8_nt_range(begin, end, n, k, a, a_scales, b, b_scales, bias,
-                             out);
-  });
-}
-
 }  // namespace dial::la::kernels

@@ -7,11 +7,10 @@
 /// \file
 /// Raw-pointer compute kernels behind la::Matrix: cache-blocked GEMM in the
 /// three transpose layouts autograd needs, a blocked transpose, batched
-/// row-distance kernels for the index/selector scan loops, the PQ ADC scan,
-/// and an int8 GEMM for quantized inference. Every entry point here
-/// dispatches through la/arch.h to a per-CPU-tier instantiation (scalar /
-/// AVX2 / AVX-512 / NEON) selected at runtime — see arch.h for the tier
-/// policy and the DIAL_FORCE_ARCH override.
+/// row-distance kernels for the index/selector scan loops, and the PQ ADC
+/// scan. Every entry point here dispatches through la/arch.h to a
+/// per-CPU-tier instantiation (scalar / AVX2 / AVX-512 / NEON) selected at
+/// runtime — see arch.h for the tier policy and the DIAL_FORCE_ARCH override.
 ///
 /// Accumulation contract (all callers AND all dispatch tiers rely on this):
 ///  - Everything accumulates in float32 with no FMA contraction. Row
@@ -31,8 +30,6 @@
 ///  - ADC accumulates per code over 4 interleaved subspace partials combined
 ///    as (s0+s1)+(s2+s3) with a sequential tail for m % 4; the batched scan
 ///    replays that chain per code.
-///  - int8 GEMM accumulates exactly in int32 (order-free), then dequantizes
-///    per element as float(acc) * (a_scale * b_scale) + bias.
 ///  - Reductions ACROSS many rows (k-means inertia, k-means++ totals) are
 ///    the caller's job and should accumulate in double; per-row / per-pair
 ///    quantities stay float32.
@@ -47,6 +44,12 @@ class ThreadPool;
 }
 
 namespace dial::la::kernels {
+
+/// Version of the accumulation contract above. Results persisted from these
+/// kernels' arithmetic — the pretrained-model cache key (tplm/model_cache.h)
+/// — hash it, so bump it whenever any accumulation order changes. v1 was
+/// the 4-partial row reduction; v2 is the 16-lane one.
+inline constexpr uint32_t kNumericsVersion = 2;
 
 /// out(m,n) += a(m,k) * b(k,n). Row-major, densely packed.
 void GemmNN(size_t m, size_t n, size_t k, const float* a, const float* b,
@@ -108,17 +111,6 @@ float AdcDistance(const float* table, size_t ksub, const uint8_t* code,
 /// step with one gather per subspace.
 void AdcDistanceScan(const float* table, size_t ksub, const uint8_t* codes,
                      size_t m, size_t n, float* out);
-
-/// Quantized GEMM, NT layout (both operands row-contiguous over k):
-/// out(m,n) = dequant(a(m,k) * b(n,k)^T) [+ bias], where a and b hold int8
-/// values with per-row symmetric scales (row i of a ≈ a[i,:] * a_scales[i]).
-/// Accumulation is exact in int32, so results are bit-identical across
-/// tiers and thread counts; `out` is OVERWRITTEN (not accumulated into).
-/// `bias` (length n, added per output column) may be null.
-void GemmInt8NT(size_t m, size_t n, size_t k, const int8_t* a,
-                const float* a_scales, const int8_t* b, const float* b_scales,
-                const float* bias, float* out,
-                util::ThreadPool* pool = nullptr);
 
 }  // namespace dial::la::kernels
 

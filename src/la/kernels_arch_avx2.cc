@@ -1,9 +1,8 @@
 // AVX2 tier: the same kernels_arch.inc arithmetic compiled with -mavx2 (no
 // FMA, -ffp-contract=off), which enables the hand-written AVX2 paths for the
-// row reductions, the ADC gather scan, and the int8 GEMM, and lets the
-// vectorizer widen the generic GEMM column loops. Returns nullptr when this
-// TU is built for a target without AVX2 (e.g. aarch64), so dispatch simply
-// never offers the tier.
+// row reductions and lets the vectorizer widen the generic GEMM column loops.
+// Returns nullptr when this TU is built for a target without AVX2 (e.g.
+// aarch64), so dispatch simply never offers the tier.
 #include "la/arch.h"
 
 #if defined(__AVX2__)

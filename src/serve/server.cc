@@ -142,7 +142,6 @@ util::Status Server::Start() {
   contexts_.clear();
   for (size_t i = 0; i < workers; ++i) {
     contexts_.push_back(std::make_unique<autograd::InferenceContext>(gemm_pool_.get()));
-    contexts_.back()->SetPrecision(options_.precision);
   }
   scheduler_ = std::make_unique<Scheduler>(
       options_.scheduler, [this](size_t worker_id, std::vector<Scheduler::Pending>&& batch) {

@@ -68,10 +68,6 @@ struct ServerOptions {
   /// pool-wide — so a fused batch's linear sublayers parallelize while
   /// another worker's batch is in flight.
   size_t gemm_threads = 0;
-  /// Numeric mode for every worker's inference context (autograd::Precision).
-  /// int8 trades the wire-exact match-score parity with in-process fp32
-  /// scoring for throughput; fp32 (default) keeps bit-exactness.
-  autograd::Precision precision = autograd::Precision::kFloat32;
 };
 
 class Server {

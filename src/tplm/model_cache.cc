@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "la/kernels.h"
 #include "util/hash.h"
 #include "util/serialize.h"
 
@@ -10,10 +11,9 @@ namespace dial::tplm {
 
 namespace {
 constexpr uint32_t kMagic = 0xd1a17001u;  // "dial tplm"
-// v2: CRC32C trailer; v1 entries still load unverified (a stale or corrupt
-// entry is recoverable anyway — the cache just re-pretrains).
+// v2: CRC32C trailer.
 constexpr uint32_t kVersion = 2;
-constexpr uint32_t kMinVersion = 1;
+constexpr uint32_t kMinVersion = 2;
 constexpr uint32_t kCrcFromVersion = 2;
 }  // namespace
 
@@ -36,10 +36,12 @@ ModelCache ModelCache::Default() {
 
 std::string ModelCache::KeyPath(const TplmModel& model, const PretrainOptions& options,
                                 uint64_t corpus_tag) const {
-  // Weights depend on the transformer shape, the MLM sequence length, the
-  // pretraining options and the corpus — not on inference-time knobs like
-  // the single-mode pooling mix, so those stay out of the key.
-  uint64_t key = model.config().transformer.Fingerprint();
+  // Weights depend on the kernels' accumulation contract, the transformer
+  // shape, the MLM sequence length, the pretraining options and the corpus —
+  // not on inference-time knobs like the single-mode pooling mix, so those
+  // stay out of the key.
+  uint64_t key = util::HashCombine(model.config().transformer.Fingerprint(),
+                                   la::kernels::kNumericsVersion);
   key = util::HashCombine(key, model.config().max_single_len);
   key = util::HashCombine(key, options.Fingerprint());
   key = util::HashCombine(key, corpus_tag);

@@ -9,9 +9,9 @@
 
 /// \file
 /// Disk cache for pretrained TPLM weights. Pretraining is deterministic given
-/// (config, corpus, options, seed), so the cache key is a fingerprint of all
-/// three; benches and tests that share a dataset reuse one pretrained model
-/// instead of re-running MLM.
+/// (kernel numerics, config, corpus, options, seed), so the cache key is a
+/// fingerprint of all of them; benches and tests that share a dataset reuse
+/// one pretrained model instead of re-running MLM.
 
 namespace dial::tplm {
 

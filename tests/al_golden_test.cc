@@ -9,6 +9,7 @@
 
 #include "core/checkpoint.h"
 #include "core/experiment.h"
+#include "private_dir.h"
 #include "status_matchers.h"
 
 /// End-to-end determinism pins for the AL loop. Two layers:
@@ -33,7 +34,7 @@ namespace {
 Experiment& SharedExperiment() {
   static Experiment* exp = [] {
     ExperimentConfig config = DefaultExperimentConfig(data::Scale::kSmoke);
-    config.cache_dir = testing::TempDir() + "/dial_golden_cache";
+    config.cache_dir = test_internal::PrivateDir();
     return new Experiment(PrepareExperiment("walmart_amazon", config));
   }();
   return *exp;
@@ -48,7 +49,7 @@ AlConfig GoldenConfig(IndexBackend backend, bool refresh) {
 }
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return test_internal::PrivateDir() + "/" + name;
 }
 
 /// Runs the loop with checkpointing and returns (result, final checkpoint).
@@ -130,52 +131,6 @@ TEST(AlGolden, TwoRoundRunMatchesGoldenFile) {
   EXPECT_EQ(snapshot, want.str())
       << "end-to-end AL outputs changed; if intended, regenerate with "
          "DIAL_REGEN_GOLDEN=1 ./al_golden_test";
-}
-
-/// The int8 quantized-inference parity gate (see la/quant.h): running the
-/// pinned 2-round configuration with inference_precision=int8 must land
-/// within tolerance of the fp32 run on candidate recall and all-pairs F1.
-/// int8 is NOT bit-identical (pool scores shift, selections can differ), so
-/// this is a quality gate, not a determinism pin — the tolerances bound how
-/// much label-efficiency quantization may cost before CI rejects it.
-TEST(AlGolden, Int8InferenceStaysWithinF1ParityOfFp32) {
-  const auto [fp32, fp32_ckpt] = RunWithCheckpoint(
-      GoldenConfig(IndexBackend::kFlat, /*refresh=*/true),
-      TempPath("parity_fp32.ckpt"));
-
-  AlConfig int8_config = GoldenConfig(IndexBackend::kFlat, /*refresh=*/true);
-  int8_config.inference_precision = "int8";
-  const auto [int8_run, int8_ckpt] =
-      RunWithCheckpoint(int8_config, TempPath("parity_int8.ckpt"));
-
-  ASSERT_EQ(fp32.rounds.size(), int8_run.rounds.size());
-  for (size_t i = 0; i < fp32.rounds.size(); ++i) {
-    // Candidate recall is the blocker-side signal (committee encodes run
-    // int8); at smoke scale one boundary pair moves recall by ~1/40, so the
-    // band is wide but still catches a broken quantizer (which craters to
-    // near-random recall).
-    EXPECT_NEAR(int8_run.rounds[i].cand_recall, fp32.rounds[i].cand_recall,
-                0.20)
-        << "round " << i;
-  }
-  const double fp32_f1 = fp32.rounds.back().allpairs_prf.f1;
-  const double int8_f1 = int8_run.rounds.back().allpairs_prf.f1;
-  EXPECT_NEAR(int8_f1, fp32_f1, 0.15)
-      << "int8 matcher scoring drifted beyond F1 parity";
-  EXPECT_EQ(fp32.labels_used, int8_run.labels_used);
-
-  // The two runs must NOT share a checkpoint fingerprint: resuming an fp32
-  // checkpoint under int8 would silently change every subsequent score.
-  EXPECT_NE(AlConfigFingerprint(int8_config, SharedExperiment().bundle.name),
-            AlConfigFingerprint(GoldenConfig(IndexBackend::kFlat, true),
-                                SharedExperiment().bundle.name));
-  // And the fp32 default must fingerprint exactly as before the knob
-  // existed, keeping historical checkpoints resumable.
-  AlConfig explicit_fp32 = GoldenConfig(IndexBackend::kFlat, true);
-  explicit_fp32.inference_precision = "fp32";
-  EXPECT_EQ(AlConfigFingerprint(explicit_fp32, SharedExperiment().bundle.name),
-            AlConfigFingerprint(GoldenConfig(IndexBackend::kFlat, true),
-                                SharedExperiment().bundle.name));
 }
 
 void ExpectSameRun(const AlResult& a, const AlResult& b) {

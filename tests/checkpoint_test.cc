@@ -7,6 +7,7 @@
 
 #include "core/checkpoint.h"
 #include "core/experiment.h"
+#include "private_dir.h"
 #include "status_matchers.h"
 #include "util/serialize.h"
 
@@ -43,7 +44,7 @@ AlCheckpoint SampleCheckpoint() {
 }
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return test_internal::PrivateDir() + "/" + name;
 }
 
 TEST(Checkpoint, SaveLoadRoundTrip) {
@@ -226,7 +227,7 @@ TEST(Checkpoint, FingerprintSensitivity) {
 Experiment& SharedExperiment() {
   static Experiment* exp = [] {
     ExperimentConfig config = DefaultExperimentConfig(data::Scale::kSmoke);
-    config.cache_dir = testing::TempDir() + "/dial_checkpoint_cache";
+    config.cache_dir = test_internal::PrivateDir();
     return new Experiment(PrepareExperiment("walmart_amazon", config));
   }();
   return *exp;

@@ -3,7 +3,9 @@
 //  - per-layer and end-to-end bit-identity with the Tape forward (dropout
 //    off): Linear, LayerNorm, Embedding, TransformerLayer, encoder, matcher
 //    probabilities, SBERT embeddings, committee transforms and vote entropy,
-//    TPLM eval loss;
+//    TPLM eval loss. The end-to-end references rebuild the Tape forward
+//    here in the test from the models' own weights and Forward methods, so
+//    the engine is checked against an independent oracle;
 //  - batched == one-at-a-time across ragged length buckets (packing never
 //    changes a sequence's result);
 //  - bit-identity across 0/2/8 worker threads;
@@ -26,7 +28,9 @@
 #include "data/dataset.h"
 #include "nn/layers.h"
 #include "nn/transformer.h"
+#include "private_dir.h"
 #include "tplm/tplm.h"
+#include "util/serialize.h"
 #include "util/thread_pool.h"
 
 namespace dial {
@@ -445,6 +449,66 @@ class EndToEndFixture : public testing::Test {
   std::unique_ptr<tplm::TplmModel> pretrained_;
 };
 
+/// Unit-normalized single-mode embeddings, one Tape per sequence — the
+/// reference for every engine single-mode embedding.
+la::Matrix TapeEmbedSingle(tplm::TplmModel& model,
+                           const std::vector<const text::EncodedSequence*>& seqs) {
+  const size_t d = model.config().transformer.dim;
+  la::Matrix out(seqs.size(), d);
+  util::Rng rng(1);
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    autograd::Tape tape;
+    nn::ForwardContext ctx{&tape, &rng, /*training=*/false};
+    const la::Matrix emb = model.EncodeSingle(ctx, *seqs[i]).value();
+    std::copy(emb.row(0), emb.row(0) + d, out.row(i));
+  }
+  la::NormalizeRowsInPlace(out);
+  return out;
+}
+
+/// Independent Tape oracle for a Matcher: its saved weights loaded into a
+/// test-side TplmModel plus the two head layers, run one pair per Tape with
+/// dropout off — the training forward, not the engine under test.
+class TapeMatcher {
+ public:
+  TapeMatcher(core::Matcher& matcher, const tplm::TplmConfig& config)
+      : model_("matcher_tplm", config, /*seed=*/0),
+        dense_("matcher_head.dense", model_.pair_feature_dim(),
+               config.transformer.dim, rng_),
+        out_("matcher_head.out", config.transformer.dim, 1, rng_) {
+    const std::string path = test_internal::PrivateDir() + "/matcher.bin";
+    constexpr uint32_t kMagic = 0x7a9e0001u;
+    util::BinaryWriter writer(path, kMagic, /*version=*/1);
+    matcher.SaveWeights(writer);
+    DIAL_CHECK_OK(writer.Finish());
+    util::BinaryReader reader(path, kMagic, /*expected_version=*/1);
+    DIAL_CHECK_OK(reader.status());
+    DIAL_CHECK_OK(model_.Load(reader));
+    DIAL_CHECK_OK(dense_.Load(reader));
+    DIAL_CHECK_OK(out_.Load(reader));
+  }
+
+  /// P(duplicate) for one pair; `h` receives the (1, dim) penultimate
+  /// activation.
+  float Prob(const text::EncodedSequence& seq, la::Matrix* h) {
+    autograd::Tape tape;
+    nn::ForwardContext ctx{&tape, &rng_, /*training=*/false};
+    autograd::Var cls = model_.EncodePairFeatures(ctx, seq);
+    autograd::Var hidden = autograd::Tanh(dense_.Forward(ctx, cls));
+    autograd::Var logit = out_.Forward(ctx, hidden);
+    *h = hidden.value();
+    return 1.0f / (1.0f + std::exp(-logit.value()(0, 0)));
+  }
+
+  tplm::TplmModel& model() { return model_; }
+
+ private:
+  util::Rng rng_{1};
+  tplm::TplmModel model_;
+  nn::Linear dense_;
+  nn::Linear out_;
+};
+
 TEST_F(EndToEndFixture, MatcherOutputsMatchTapePath) {
   core::PairEncodingCache cache(&bundle_, vocab_.get(), config_.max_pair_len);
   core::MatcherConfig mc;
@@ -452,19 +516,26 @@ TEST_F(EndToEndFixture, MatcherOutputsMatchTapePath) {
   matcher.ResetFromPretrained(*pretrained_);
   const auto query = AllPairs();
 
-  ASSERT_TRUE(matcher.inference_engine());
   const auto probs_engine = matcher.PredictProbs(cache, query);
   const la::Matrix badge_engine = matcher.BadgeEmbeddings(cache, query);
   const la::Matrix reps_engine = matcher.PairRepresentations(cache, query);
 
-  matcher.SetInferenceEngine(false);
-  const auto probs_tape = matcher.PredictProbs(cache, query);
-  const la::Matrix badge_tape = matcher.BadgeEmbeddings(cache, query);
-  const la::Matrix reps_tape = matcher.PairRepresentations(cache, query);
-
-  ASSERT_EQ(probs_engine.size(), probs_tape.size());
-  for (size_t i = 0; i < probs_engine.size(); ++i) {
-    ASSERT_EQ(probs_engine[i], probs_tape[i]) << "pair " << i;
+  ASSERT_EQ(probs_engine.size(), query.size());
+  TapeMatcher oracle(matcher, config_);
+  const size_t d = config_.transformer.dim;
+  la::Matrix badge_tape(query.size(), d + 1);
+  la::Matrix reps_tape(query.size(), d);
+  for (size_t i = 0; i < query.size(); ++i) {
+    la::Matrix h;
+    const float p = oracle.Prob(cache.Get(query[i]), &h);
+    ASSERT_EQ(probs_engine[i], p) << "pair " << i;
+    // BADGE: d/dlogit of BCE with the most likely label, times [h ; 1].
+    const float g = p - (p > 0.5f ? 1.0f : 0.0f);
+    for (size_t c = 0; c < d; ++c) {
+      badge_tape(i, c) = g * h(0, c);
+      reps_tape(i, c) = h(0, c);
+    }
+    badge_tape(i, d) = g;
   }
   ExpectBitEqual(badge_tape, badge_engine);
   ExpectBitEqual(reps_tape, reps_engine);
@@ -480,9 +551,8 @@ TEST_F(EndToEndFixture, MatcherSingleModeEmbeddingsMatchTapePath) {
   core::Matcher matcher(config_, mc, 5);
   matcher.ResetFromPretrained(*pretrained_);
   const la::Matrix engine = matcher.EmbedSingleMode(seqs);
-  matcher.SetInferenceEngine(false);
-  const la::Matrix tape = matcher.EmbedSingleMode(seqs);
-  ExpectBitEqual(tape, engine);
+  TapeMatcher oracle(matcher, config_);
+  ExpectBitEqual(TapeEmbedSingle(oracle.model(), seqs), engine);
 }
 
 TEST_F(EndToEndFixture, SbertEmbeddingsMatchTapePath) {
@@ -490,13 +560,13 @@ TEST_F(EndToEndFixture, SbertEmbeddingsMatchTapePath) {
   core::SbertConfig sc;
   core::SentenceBertBlocker blocker(config_, sc, 9);
   blocker.ResetFromPretrained(*pretrained_, 0x1234);
-  const la::Matrix engine_r = blocker.EmbedR(encodings);
-  const la::Matrix engine_s = blocker.EmbedS(encodings);
-  blocker.SetInferenceEngine(false);
-  const la::Matrix tape_r = blocker.EmbedR(encodings);
-  const la::Matrix tape_s = blocker.EmbedS(encodings);
-  ExpectBitEqual(tape_r, engine_r);
-  ExpectBitEqual(tape_s, engine_s);
+  std::vector<const text::EncodedSequence*> r_seqs, s_seqs;
+  for (size_t i = 0; i < encodings.r_size(); ++i) r_seqs.push_back(&encodings.R(i));
+  for (size_t i = 0; i < encodings.s_size(); ++i) s_seqs.push_back(&encodings.S(i));
+  ExpectBitEqual(TapeEmbedSingle(blocker.model(), r_seqs),
+                 blocker.EmbedR(encodings));
+  ExpectBitEqual(TapeEmbedSingle(blocker.model(), s_seqs),
+                 blocker.EmbedS(encodings));
 }
 
 TEST(InferenceEngine, CommitteeTransformMatchesTapePath) {
@@ -507,17 +577,19 @@ TEST(InferenceEngine, CommitteeTransformMatchesTapePath) {
     core::BlockerCommittee committee(16, config);
     const la::Matrix embeddings = RandomMatrix(10, 16, 31);
     for (size_t k = 0; k < committee.size(); ++k) {
-      const la::Matrix engine = committee.Encode(k, embeddings);
-      committee.member(k).SetInferenceEngine(false);
-      const la::Matrix tape = committee.Encode(k, embeddings);
-      ExpectBitEqual(tape, engine);
+      autograd::Tape tape;
+      util::Rng tape_rng(1);
+      nn::ForwardContext ctx{&tape, &tape_rng, /*training=*/false};
+      const la::Matrix tape_out =
+          committee.member(k).Forward(ctx, tape.Constant(embeddings)).value();
+      ExpectBitEqual(tape_out, committee.Encode(k, embeddings));
     }
   }
 }
 
 TEST_F(EndToEndFixture, CommitteeVoteEntropyMatchesTapePath) {
   // QBC-style vote entropy over a 3-matcher committee: the selector-visible
-  // quantity must be identical on both inference paths.
+  // quantity must be identical on the engine and on the Tape oracle.
   core::PairEncodingCache cache(&bundle_, vocab_.get(), config_.max_pair_len);
   const auto query = AllPairs();
   std::vector<std::vector<float>> engine_probs;
@@ -528,8 +600,11 @@ TEST_F(EndToEndFixture, CommitteeVoteEntropyMatchesTapePath) {
     core::Matcher matcher(config_, mc, 50 + m);
     matcher.ResetFromPretrained(*pretrained_);
     engine_probs.push_back(matcher.PredictProbs(cache, query));
-    matcher.SetInferenceEngine(false);
-    tape_probs.push_back(matcher.PredictProbs(cache, query));
+    TapeMatcher oracle(matcher, config_);
+    std::vector<float> probs;
+    la::Matrix h;
+    for (const auto& pair : query) probs.push_back(oracle.Prob(cache.Get(pair), &h));
+    tape_probs.push_back(std::move(probs));
   }
   for (size_t i = 0; i < query.size(); ++i) {
     double mean_engine = 0.0;

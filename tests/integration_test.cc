@@ -2,16 +2,17 @@
 
 #include "baselines/rules.h"
 #include "core/experiment.h"
+#include "private_dir.h"
 
 namespace dial::core {
 namespace {
 
-/// One shared smoke experiment per test binary run (pretraining is the
-/// expensive part; the model cache also kicks in across runs).
+/// One shared smoke experiment per test process (pretraining is the
+/// expensive part).
 Experiment& SharedExperiment() {
   static Experiment* exp = [] {
     ExperimentConfig config = DefaultExperimentConfig(data::Scale::kSmoke);
-    config.cache_dir = testing::TempDir() + "/dial_integration_cache";
+    config.cache_dir = test_internal::PrivateDir();
     return new Experiment(PrepareExperiment("walmart_amazon", config));
   }();
   return *exp;
@@ -147,7 +148,7 @@ TEST(Integration, CandidateSizeOverride) {
 
 TEST(Integration, MultilingualPipelineRuns) {
   ExperimentConfig config = DefaultExperimentConfig(data::Scale::kSmoke);
-  config.cache_dir = testing::TempDir() + "/dial_integration_cache";
+  config.cache_dir = test_internal::PrivateDir();
   Experiment exp = PrepareExperiment("multilingual", config);
   AlConfig al = SmokeAl(15);
   al.rounds = 1;

@@ -248,18 +248,7 @@ int main(int argc, char** argv) {
       "one batch");
   bool* self_test = flags.AddBool(
       "self_test", false, "serve, run a scripted client session, exit (CI smoke)");
-  std::string* precision_text = flags.AddString(
-      "precision", "fp32",
-      "fp32|int8 worker inference numerics (int8 quantizes linear sublayers; "
-      "match scores are no longer bit-identical to fp32 scoring)");
   flags.Parse(argc, argv);
-
-  dial::autograd::Precision precision;
-  if (!dial::autograd::ParsePrecision(*precision_text, &precision)) {
-    std::fprintf(stderr, "unknown --precision '%s' (fp32|int8)\n",
-                 precision_text->c_str());
-    return 1;
-  }
 
   dial::serve::ServingOptions options;
   options.dataset = *dataset;
@@ -299,7 +288,6 @@ int main(int argc, char** argv) {
   server_options.scheduler.ring_capacity = static_cast<size_t>(*ring);
   server_options.scheduler.default_deadline_ms = *deadline_ms;
   server_options.scheduler.stall_timeout_ms = *stall_ms;
-  server_options.precision = precision;
 
   if (*self_test) {
     return SelfTest(*bundle, *socket_path, std::move(server_options));
