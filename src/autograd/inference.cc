@@ -8,20 +8,33 @@
 
 namespace dial::autograd {
 
+size_t InferenceContext::SizeClass(size_t n) {
+  size_t size_class = 1;
+  while (size_class < n) size_class <<= 1;
+  return size_class;
+}
+
 la::Matrix* InferenceContext::Acquire(size_t rows, size_t cols) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& stack = free_[Key(rows, cols)];
-  std::unique_ptr<la::Matrix> m;
-  if (!stack.empty()) {
-    m = std::move(stack.back());
-    stack.pop_back();
-  } else {
-    m = std::make_unique<la::Matrix>(rows, cols);
-    ++allocated_;
-    bytes_ += rows * cols * sizeof(float);
+  const size_t size_class = SizeClass(rows * cols);
+  la::Matrix* raw = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto& stack = free_[size_class];
+    std::unique_ptr<la::Matrix> m;
+    if (!stack.empty()) {
+      m = std::move(stack.back());
+      stack.pop_back();
+    } else {
+      m = std::make_unique<la::Matrix>();
+      ++allocated_;
+      bytes_ += size_class * sizeof(float);
+    }
+    raw = m.get();
+    borrowed_.emplace(raw, Borrow{size_class, std::move(m)});
   }
-  la::Matrix* raw = m.get();
-  borrowed_.emplace(raw, std::move(m));
+  // The buffer is this borrower's alone now: size it outside the lock.
+  raw->storage().reserve(size_class);
+  raw->Resize(rows, cols);
   return raw;
 }
 
@@ -30,7 +43,7 @@ void InferenceContext::Release(la::Matrix* m) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = borrowed_.find(m);
   DIAL_CHECK(it != borrowed_.end()) << "Release of a matrix this arena never lent";
-  free_[Key(m->rows(), m->cols())].push_back(std::move(it->second));
+  free_[it->second.size_class].push_back(std::move(it->second.matrix));
   borrowed_.erase(it);
 }
 

@@ -34,10 +34,13 @@ class ThreadPool;
 
 namespace dial::autograd {
 
-/// Shape-keyed scratch-matrix arena plus the worker pool shared by every
-/// forward that runs through it. One context per model instance is the
-/// intended granularity: buffers warm up to the model's activation shapes
-/// and are reused across calls (and across AL rounds for long-lived owners).
+/// Scratch-matrix arena plus the worker pool shared by every forward that
+/// runs through it. One context per model instance is the intended
+/// granularity: buffers warm up to the model's activation sizes and are
+/// reused across calls (and across AL rounds for long-lived owners). They
+/// are pooled by size class (rows·cols rounded up to a power of two), not by
+/// shape: a length-bucketed forward meets hundreds of (rows, cols) shapes,
+/// and pooling by shape would keep a buffer for each per concurrent borrower.
 class InferenceContext {
  public:
   explicit InferenceContext(util::ThreadPool* pool = nullptr) : pool_(pool) {}
@@ -50,8 +53,9 @@ class InferenceContext {
   void SetThreadPool(util::ThreadPool* pool) { pool_ = pool; }
   util::ThreadPool* pool() const { return pool_; }
 
-  /// Borrows a scratch matrix of exactly (rows, cols); contents are
-  /// unspecified — callers must fully overwrite. Thread-safe.
+  /// Borrows a scratch matrix of exactly (rows, cols), backed by a buffer of
+  /// its size class; contents are unspecified — callers must fully
+  /// overwrite. Thread-safe.
   la::Matrix* Acquire(size_t rows, size_t cols);
 
   /// Returns a borrowed matrix to the arena. Thread-safe.
@@ -68,13 +72,17 @@ class InferenceContext {
   void Clear();
 
  private:
-  static uint64_t Key(size_t rows, size_t cols) {
-    return (static_cast<uint64_t>(rows) << 32) | static_cast<uint64_t>(cols);
-  }
+  /// The size class of an n-float matrix: the smallest power of two >= n.
+  static size_t SizeClass(size_t n);
+
+  struct Borrow {
+    size_t size_class;
+    std::unique_ptr<la::Matrix> matrix;
+  };
 
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, std::vector<std::unique_ptr<la::Matrix>>> free_;
-  std::unordered_map<const la::Matrix*, std::unique_ptr<la::Matrix>> borrowed_;
+  std::unordered_map<size_t, std::vector<std::unique_ptr<la::Matrix>>> free_;
+  std::unordered_map<const la::Matrix*, Borrow> borrowed_;
   size_t allocated_ = 0;
   size_t bytes_ = 0;
   util::ThreadPool* pool_ = nullptr;  // unowned; null = inline execution

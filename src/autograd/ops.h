@@ -111,6 +111,11 @@ Var PairwiseSquaredDistance(Var a, Var b);
 // -------------------------------------------------------------------- losses
 /// Mean binary cross entropy over logits (m,1) with targets in {0,1}.
 Var BceWithLogits(Var logits, const std::vector<float>& targets);
+/// What BceWithLogits's backward adds to row i's logit gradient, given the
+/// loss gradient `upstream`, the batch size `m`, the row's logit `z` and
+/// target `y`: (upstream / m) · (sigmoid(z) - y). A row's gradient needs no
+/// other row, so per-example tapes can seed their sweeps with it.
+float BceWithLogitsRowGrad(float upstream, size_t m, float z, float y);
 /// Mean softmax cross entropy over rows of logits (m,V) with integer class
 /// targets; rows with target < 0 are ignored (MLM-style masking).
 Var SoftmaxCrossEntropy(Var logits, const std::vector<int>& targets);

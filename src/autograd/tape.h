@@ -24,10 +24,11 @@
 /// inputs skip registering a backward closure entirely, which makes
 /// frozen-transformer paths (the DIAL blocker) nearly free to differentiate
 /// through.
-
-namespace dial::util {
-class ThreadPool;
-}
+///
+/// Data-parallel training records one tape per example instead (see
+/// `ParamGradMode::kDeferred`): each tape's sweep touches only its own nodes,
+/// so tapes run concurrently, and applying their queued parameter-gradient
+/// writes last-example-first reproduces the shared tape's bits exactly.
 
 namespace dial::autograd {
 
@@ -103,18 +104,42 @@ class Var {
   Node* node_;
 };
 
+/// When a tape's reverse sweep writes `Parameter::grad`. Those writes (the
+/// `Leaf` accumulation and the `EmbeddingGather` scatter) are the only state
+/// a sweep shares with other tapes.
+enum class ParamGradMode {
+  /// Written during Backward(), in sweep order.
+  kImmediate,
+  /// Queued in sweep order (see TakeParamGradWrites). Backward() then
+  /// writes nothing outside the tape, so tapes over the same parameters
+  /// may sweep concurrently.
+  kDeferred,
+};
+
+/// One queued write into `param->grad`: `grad` is added to the whole
+/// gradient, or, when `rows` is non-empty, row i of `grad` to row rows[i]
+/// (an embedding scatter). Owns its data, so it outlives its tape.
+struct ParamGradWrite {
+  Parameter* param = nullptr;
+  la::Matrix grad;
+  std::vector<int> rows;
+
+  void Apply() const;
+};
+
 /// Records a computation graph and runs its reverse sweep.
 class Tape {
  public:
-  Tape() = default;
+  explicit Tape(ParamGradMode mode = ParamGradMode::kImmediate) : mode_(mode) {}
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
   /// A constant input (no gradient ever flows into it).
   Var Constant(la::Matrix value);
 
-  /// A leaf bound to an external Parameter; Backward() accumulates into
-  /// `param->grad` (which must already be shaped like `param->value`).
+  /// A leaf bound to an external Parameter; Backward() accumulates its
+  /// gradient into `param->grad` (which must already be shaped like
+  /// `param->value`), or queues that write in deferred mode.
   Var Leaf(Parameter* param);
 
   /// Internal: creates a derived node. `requires_grad` should be the OR of
@@ -124,19 +149,28 @@ class Tape {
   /// Runs the reverse sweep from `loss` (must be 1x1). May be called once.
   void Backward(Var loss);
 
-  size_t num_nodes() const { return nodes_.size(); }
+  /// Runs the reverse sweep from `root` with `seed` added to its gradient
+  /// (same shape as `root`), as if `root` fed a larger graph whose sweep
+  /// reached it with that gradient. May be called once.
+  void Backward(Var root, const la::Matrix& seed);
 
-  /// Optional worker pool used by matrix-multiply ops recorded on this tape
-  /// (forward AND backward GEMMs). Threaded results are bit-identical to
-  /// inline execution (see la/kernels.h), so this is a pure throughput knob:
-  /// training loops set it from AlConfig::num_threads. The pool must outlive
-  /// the tape's Backward() call.
-  void SetThreadPool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* pool() const { return pool_; }
+  /// The one way a backward closure writes a Parameter::grad: adds `grad`
+  /// (row i of it to row (*rows)[i] when `rows` is given) now, or in
+  /// deferred mode queues the write, moving `grad` out — a node's gradient
+  /// is final once its own backward runs.
+  void AddParamGrad(Parameter* param, la::Matrix& grad,
+                    const std::vector<int>* rows = nullptr);
+
+  /// Deferred mode: hands over the writes queued so far, in sweep order.
+  /// Apply them in that order; the tape itself is no longer needed.
+  std::vector<ParamGradWrite> TakeParamGradWrites();
+
+  size_t num_nodes() const { return nodes_.size(); }
 
  private:
   std::vector<std::unique_ptr<Node>> nodes_;
-  util::ThreadPool* pool_ = nullptr;
+  ParamGradMode mode_;
+  std::vector<ParamGradWrite> param_grad_writes_;
   bool backward_ran_ = false;
 };
 

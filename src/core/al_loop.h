@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/committee.h"
@@ -53,12 +54,13 @@ struct AlConfig {
   size_t calibration_pairs = 32;
   /// Compute the all-pairs metric every round (Fig. 7) vs only at the end.
   bool allpairs_each_round = true;
-  /// Worker threads for the blocking step (IBC member fan-out and batch
-  /// index search). 0 = inline execution, today's default. Retrieval results
-  /// are bit-identical for every value, so this is excluded from the
-  /// checkpoint fingerprint: a run checkpointed at one thread count resumes
-  /// exactly under another.
-  size_t num_threads = 0;
+  /// Worker threads of the loop's pool: matcher training (the examples of a
+  /// mini-batch), matcher/committee/SBERT inference, IBC member fan-out and
+  /// batch index search. Defaults to the core count; 0 = inline execution.
+  /// Every result is bit-identical for every value, so this is excluded
+  /// from the checkpoint fingerprint: a run checkpointed at one thread count
+  /// resumes exactly under another.
+  size_t num_threads = std::thread::hardware_concurrency();
   /// Warm-start the blocker indexes across rounds: rounds >= 2 Refresh the
   /// previous round's indexes (reusing trained centroids/codebooks/planes)
   /// instead of reconstructing them. `false` is the ablation/fallback path

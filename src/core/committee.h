@@ -87,18 +87,14 @@ class CommitteeMember : public nn::Module {
 
   const la::Matrix& mask() const { return mask_; }
 
-  /// Unowned pool threaded through this member's tapes (see Matcher).
-  void SetThreadPool(util::ThreadPool* pool) {
-    pool_ = pool;
-    infer_ctx_.SetThreadPool(pool);
-  }
-  util::ThreadPool* thread_pool() const { return pool_; }
+  /// Unowned pool the member's inference fans out over; training tapes run
+  /// inline. nullptr (default) detaches.
+  void SetThreadPool(util::ThreadPool* pool) { infer_ctx_.SetThreadPool(pool); }
 
  private:
   la::Matrix mask_;  // (1, d) of {0,1}
   nn::Linear linear_;
   bool normalize_output_;
-  util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
 };
 

@@ -5,10 +5,25 @@
 
 #include "autograd/optim.h"
 #include "autograd/ops.h"
+#include "util/thread_pool.h"
 
 namespace dial::core {
 
 using autograd::Var;
+
+namespace {
+
+/// One example of a training mini-batch, recorded on a tape of its own.
+struct TrainExample {
+  const text::EncodedSequence* seq = nullptr;
+  text::EncodedSequence augmented;
+  util::Rng rng;      // rng_ where this example's forward starts drawing
+  util::Rng rng_end;  // rng_ where that forward must leave it
+  float logit = 0.0f;
+  std::vector<autograd::ParamGradWrite> writes;  // its sweep's, in order
+};
+
+}  // namespace
 
 Matcher::Matcher(const tplm::TplmConfig& config, const MatcherConfig& matcher_config,
                  uint64_t weight_seed)
@@ -96,39 +111,65 @@ double Matcher::Train(PairEncodingCache& pairs,
   std::vector<size_t> order(labeled.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  // One example of an m-example batch: forward and sweep on a deferred tape
+  // of its own, which dies here; only the logit and the queued
+  // parameter-gradient writes remain. Touches no shared state.
+  const auto train_example = [this](TrainExample& ex, float target, size_t m) {
+    autograd::Tape tape(autograd::ParamGradMode::kDeferred);
+    nn::ForwardContext ctx{&tape, &ex.rng, /*training=*/true};
+    const Var logit = TrainForward(ctx, *ex.seq);
+    DIAL_CHECK(ex.rng == ex.rng_end)
+        << "dropout draws of a " << ex.seq->ids.size()
+        << "-token forward differ from TrainForwardDropoutDraws";
+    ex.logit = logit.scalar();
+    // This row's share of the batch-mean BCE gradient (loss gradient 1).
+    const float seed = autograd::BceWithLogitsRowGrad(1.0f, m, ex.logit, target);
+    tape.Backward(logit, la::Matrix(1, 1, seed));
+    ex.writes = tape.TakeParamGradWrites();
+  };
+
   double last_epoch_loss = 0.0;
   for (size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     rng_.Shuffle(order);
     double epoch_loss = 0.0;
     size_t batches = 0;
     for (size_t begin = 0; begin < order.size(); begin += config_.batch_size) {
-      const size_t end = std::min(order.size(), begin + config_.batch_size);
-      autograd::Tape tape;
-      tape.SetThreadPool(pool_);
-      nn::ForwardContext ctx{&tape, &rng_, /*training=*/true};
-      std::vector<Var> logits;
-      std::vector<float> targets;
-      for (size_t i = begin; i < end; ++i) {
-        const auto& lp = labeled[order[i]];
-        const text::EncodedSequence& original = pairs.Get(lp.pair);
-        text::EncodedSequence augmented;
-        const text::EncodedSequence& seq =
-            config_.augment_prob > 0 && rng_.Bernoulli(config_.augment_prob)
-                ? (augmented = AugmentPair(original), augmented)
-                : original;
-        Var cls = model_->EncodePairFeatures(ctx, seq);
-        Var h = autograd::Dropout(cls, config_.dropout, rng_, true);
-        h = autograd::Tanh(head_dense_->Forward(ctx, h));
-        h = autograd::Dropout(h, config_.dropout, rng_, true);
-        logits.push_back(head_out_->Forward(ctx, h));
-        targets.push_back(lp.is_duplicate ? 1.0f : 0.0f);
+      const size_t m = std::min(order.size(), begin + config_.batch_size) - begin;
+      // Serially: the encodings (the cache encodes lazily), the augmentation
+      // draws, and the slice of rng_ each forward's dropout will consume.
+      std::vector<TrainExample> batch(m);
+      std::vector<float> targets(m);
+      for (size_t i = 0; i < m; ++i) {
+        const auto& lp = labeled[order[begin + i]];
+        TrainExample& ex = batch[i];
+        ex.seq = &pairs.Get(lp.pair);
+        if (config_.augment_prob > 0 && rng_.Bernoulli(config_.augment_prob)) {
+          ex.augmented = AugmentPair(*ex.seq);
+          ex.seq = &ex.augmented;
+        }
+        ex.rng = rng_;
+        rng_.Discard(TrainForwardDropoutDraws(ex.seq->ids.size()));
+        ex.rng_end = rng_;
+        targets[i] = lp.is_duplicate ? 1.0f : 0.0f;
       }
-      Var batch_logits = autograd::ConcatRows(logits);
-      Var loss = autograd::BceWithLogits(batch_logits, targets);
+      // In parallel: each example's forward and sweep on a tape of its own,
+      // which dies in its task; only its parameter-gradient writes remain.
+      util::ParallelFor(pool_, m, [&](size_t first, size_t last) {
+        for (size_t i = first; i < last; ++i) train_example(batch[i], targets[i], m);
+      });
+      // Serially: the batch loss, then the writes, last example first as one
+      // shared tape's sweep makes them, so every sum rounds as it always did.
+      la::Matrix logits(m, 1);
+      for (size_t i = 0; i < m; ++i) logits(i, 0) = batch[i].logit;
+      autograd::Tape loss_tape;
+      const float loss =
+          autograd::BceWithLogits(loss_tape.Constant(std::move(logits)), targets).scalar();
       optimizer.ZeroGrad();
-      tape.Backward(loss);
+      for (size_t i = m; i-- > 0;) {
+        for (const autograd::ParamGradWrite& write : batch[i].writes) write.Apply();
+      }
       optimizer.Step(schedule.Multiplier(optimizer.steps_taken()));
-      epoch_loss += loss.scalar();
+      epoch_loss += loss;
       ++batches;
     }
     last_epoch_loss = batches > 0 ? epoch_loss / static_cast<double>(batches) : 0.0;
@@ -137,6 +178,20 @@ double Matcher::Train(PairEncodingCache& pairs,
     }
   }
   return last_epoch_loss;
+}
+
+Var Matcher::TrainForward(nn::ForwardContext& ctx, const text::EncodedSequence& seq) {
+  Var cls = model_->EncodePairFeatures(ctx, seq);
+  Var h = autograd::Dropout(cls, config_.dropout, *ctx.rng, true);
+  h = autograd::Tanh(head_dense_->Forward(ctx, h));
+  h = autograd::Dropout(h, config_.dropout, *ctx.rng, true);
+  return head_out_->Forward(ctx, h);
+}
+
+size_t Matcher::TrainForwardDropoutDraws(size_t n) const {
+  const size_t head =
+      config_.dropout > 0.0f ? model_->pair_feature_dim() + model_->dim() : 0;
+  return model_->PairFeatureDropoutDraws(n) + head;
 }
 
 text::EncodedSequence Matcher::AugmentPair(const text::EncodedSequence& seq) {

@@ -117,9 +117,9 @@ class Matcher {
   tplm::TplmModel& model() { return *model_; }
   const MatcherConfig& config() const { return config_; }
 
-  /// Attaches an unowned worker pool: every tape this matcher records
-  /// (training steps) and the inference engine thread their GEMMs/fan-outs
-  /// through it. Bit-identical to inline execution; nullptr (default)
+  /// Attaches an unowned worker pool: training runs the examples of each
+  /// mini-batch on it (one tape per example), and the inference engine fans
+  /// out over it. Bit-identical to inline execution; nullptr (default)
   /// detaches.
   void SetThreadPool(util::ThreadPool* pool) {
     pool_ = pool;
@@ -141,6 +141,12 @@ class Matcher {
   void InferHeadBatch(const std::vector<const text::EncodedSequence*>& seqs,
                       la::Matrix* h_out, std::vector<float>* probs);
 
+  /// One training example's forward: pair features -> dropout -> dense ->
+  /// tanh -> dropout -> logit (1, 1). Draws dropout masks from ctx.rng only.
+  autograd::Var TrainForward(nn::ForwardContext& ctx, const text::EncodedSequence& seq);
+  /// Rng draws TrainForward makes over an `n`-token pair.
+  size_t TrainForwardDropoutDraws(size_t n) const;
+
   /// Piece-level perturbation of a pair encoding (train-time augmentation).
   text::EncodedSequence AugmentPair(const text::EncodedSequence& seq);
 
@@ -149,7 +155,7 @@ class Matcher {
   std::unique_ptr<nn::Linear> head_dense_;
   std::unique_ptr<nn::Linear> head_out_;
   util::Rng rng_;
-  util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
+  util::ThreadPool* pool_ = nullptr;  // unowned; null = inline training
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
 };
 

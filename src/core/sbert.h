@@ -45,11 +45,9 @@ class SentenceBertBlocker {
 
   tplm::TplmModel& model() { return *model_; }
 
-  /// Unowned pool threaded through this blocker's tapes (see Matcher).
-  void SetThreadPool(util::ThreadPool* pool) {
-    pool_ = pool;
-    infer_ctx_.SetThreadPool(pool);
-  }
+  /// Unowned pool the blocker's inference fans out over; training tapes run
+  /// inline. nullptr (default) detaches.
+  void SetThreadPool(util::ThreadPool* pool) { infer_ctx_.SetThreadPool(pool); }
 
  private:
   la::Matrix Embed(const std::vector<const text::EncodedSequence*>& seqs);
@@ -58,7 +56,6 @@ class SentenceBertBlocker {
   std::unique_ptr<tplm::TplmModel> model_;
   std::unique_ptr<nn::SentencePairHead> head_;
   util::Rng rng_;
-  util::ThreadPool* pool_ = nullptr;  // unowned; null = inline GEMMs
   autograd::InferenceContext infer_ctx_;  // tape-free activation arena
 };
 

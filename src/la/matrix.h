@@ -97,6 +97,14 @@ class Matrix {
   float& operator()(size_t r, size_t c) { return data_[r * cols_ + c]; }
   float operator()(size_t r, size_t c) const { return data_[r * cols_ + c]; }
 
+  /// Reshapes to (rows, cols) in place, keeping the storage (and its
+  /// capacity) whenever it can hold rows·cols floats. Contents unspecified.
+  void Resize(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   void Fill(float v) { std::fill(data_.begin(), data_.end(), v); }
   void Zero() { Fill(0.0f); }
 

@@ -294,6 +294,13 @@ Var TransformerEncoder::Forward(ForwardContext& ctx, const std::vector<int>& ids
   return x;
 }
 
+size_t TransformerEncoder::TrainingDropoutDraws(size_t n) const {
+  if (config_.dropout <= 0.0f) return 0;
+  const size_t d = config_.dim;
+  const size_t per_layer = config_.num_heads * n * n + 2 * n * d;
+  return n * d + config_.num_layers * per_layer;
+}
+
 void TransformerEncoder::InferForward(autograd::InferenceContext& ctx,
                                       const std::vector<int>& ids,
                                       const std::vector<int>& segment_ids,

@@ -90,6 +90,12 @@ class TransformerEncoder : public Module {
                         const std::vector<int>& segments,
                         autograd::Var* embed_out = nullptr);
 
+  /// Rng draws one training-mode Forward over `n` tokens makes, in total:
+  /// its dropout masks (embedding n·d; per layer H·n² attention plus two
+  /// n·d residual branches). Callers that run forwards on copies of one
+  /// stream skip the stream ahead by this much.
+  size_t TrainingDropoutDraws(size_t n) const;
+
   /// Output-pruning knobs for the batched inference forward. The engine may
   /// skip work whose results the caller never reads; every value it does
   /// produce stays bit-identical to the full Tape forward.

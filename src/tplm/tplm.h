@@ -60,6 +60,12 @@ class TplmModel : public nn::Module {
   autograd::Var EncodePairFeatures(nn::ForwardContext& ctx,
                                    const text::EncodedSequence& seq);
 
+  /// Rng draws a training-mode EncodePairFeatures over `n` tokens makes:
+  /// the encoder's dropout masks and nothing else.
+  size_t PairFeatureDropoutDraws(size_t n) const {
+    return encoder_.TrainingDropoutDraws(n);
+  }
+
   /// Output dimension of EncodePairFeatures.
   size_t pair_feature_dim() const { return 4 * config_.transformer.dim + 4; }
 
@@ -114,9 +120,6 @@ struct PretrainOptions {
   uint64_t seed = 13;
   /// Emit a progress log line every N batches (0 = quiet).
   size_t log_every = 0;
-  /// Optional unowned worker pool: pretraining tapes thread their GEMMs
-  /// through it (bit-identical to inline execution — see la/kernels.h).
-  util::ThreadPool* pool = nullptr;
 
   /// Self-supervised pair-discrimination (SPD) phase after MLM: the model
   /// classifies (x, perturb(x)) vs (x, random y) in paired mode with a

@@ -46,6 +46,20 @@ class Rng {
     return result;
   }
 
+  /// Skips the next `n` values: the state `n` calls of Next() would leave.
+  void Discard(uint64_t n) {
+    for (; n > 0; --n) Next();
+  }
+
+  /// True when both engines are in the same state (they produce the same
+  /// stream from here on).
+  bool operator==(const Rng& other) const {
+    for (int i = 0; i < 4; ++i) {
+      if (state_[i] != other.state_[i]) return false;
+    }
+    return have_spare_ == other.have_spare_ && (!have_spare_ || spare_ == other.spare_);
+  }
+
   /// Deterministically derives an independent stream (for per-thread or
   /// per-component use).
   Rng Fork() { return Rng(Next() ^ 0xabcdef0123456789ULL); }

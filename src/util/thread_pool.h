@@ -10,9 +10,9 @@
 
 /// \file
 /// A small fixed-size worker pool plus a `ParallelFor` helper used for
-/// data-parallel gradient accumulation and batched index probes. On this
-/// project's reference hardware (2 cores) parallelism is a modest win; all
-/// callers also work with `num_threads == 0` (inline execution).
+/// per-example training tapes, the inference engine's fan-out and batched
+/// index probes. All callers also work with `num_threads == 0` (inline
+/// execution) and give bit-identical results either way.
 
 namespace dial::util {
 

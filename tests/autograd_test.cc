@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "autograd/optim.h"
 #include "autograd/tape.h"
+#include "nn/layers.h"
+#include "tplm/tplm.h"
+#include "util/thread_pool.h"
 
 namespace dial::autograd {
 namespace {
@@ -472,6 +477,132 @@ TEST(Optim, ParamGroupsUseOwnRates) {
   }
   adam.Step();
   EXPECT_LT(fast.value(0, 0), slow.value(0, 0));
+}
+
+// ------------------------------------------------- per-example tapes
+
+/// [CLS, a..., SEP | b..., SEP] with segments 0...0 1...1; bodies share
+/// pieces, so the token table is hit on the same rows several times.
+text::EncodedSequence PairTokens(size_t body0, size_t body1, uint64_t seed,
+                                 size_t vocab) {
+  util::Rng rng(seed);
+  const auto piece = [&] {
+    return static_cast<int>(text::SpecialIds::kCount +
+                            rng.UniformInt(vocab - text::SpecialIds::kCount));
+  };
+  text::EncodedSequence seq;
+  seq.ids.push_back(text::SpecialIds::kCls);
+  for (size_t i = 0; i < body0; ++i) seq.ids.push_back(piece());
+  seq.ids.push_back(text::SpecialIds::kSep);
+  const size_t split = seq.ids.size();
+  for (size_t i = 0; i < body1; ++i) seq.ids.push_back(piece());
+  seq.ids.push_back(text::SpecialIds::kSep);
+  seq.segments.assign(split, 0);
+  seq.segments.resize(seq.ids.size(), 1);
+  return seq;
+}
+
+std::vector<la::Matrix> Grads(const std::vector<Parameter*>& params) {
+  std::vector<la::Matrix> grads;
+  for (const Parameter* p : params) grads.push_back(p->grad);
+  return grads;
+}
+
+// The matcher's training step on one shared tape vs one deferred tape per
+// example (forward and sweep seeded with the row's BCE gradient, in a pool
+// task that then drops the tape; writes applied last example first): every
+// Parameter::grad must match byte for byte. The token table is written three
+// times per example (the encoder gather and both alignment gathers of
+// EncodePairFeatures); every Linear/LayerNorm leaf once per use.
+TEST(PerExampleTapes, DeferredWritesReplayToSharedTapeGradients) {
+  const size_t vocab = 40;
+  tplm::TplmConfig config;
+  config.transformer.vocab_size = vocab;
+  config.transformer.dim = 8;
+  config.transformer.num_layers = 2;
+  config.transformer.num_heads = 2;
+  config.transformer.ffn_dim = 16;
+  tplm::TplmModel model("m", config, 11);
+  util::Rng init(12);
+  nn::Linear head("head", model.pair_feature_dim(), 1, init);
+  std::vector<Parameter*> params = model.Parameters();
+  for (Parameter* p : head.Parameters()) params.push_back(p);
+
+  // training=false: no dropout, so the rng is never drawn from.
+  const auto logit = [&](Tape& tape, const text::EncodedSequence& seq) {
+    util::Rng unused(0);
+    nn::ForwardContext ctx{&tape, &unused, /*training=*/false};
+    return head.Forward(ctx, model.EncodePairFeatures(ctx, seq));
+  };
+
+  for (const size_t m : {1, 3, 8}) {
+    std::vector<text::EncodedSequence> seqs;
+    std::vector<float> targets;
+    for (size_t i = 0; i < m; ++i) {
+      seqs.push_back(PairTokens(2 + i % 4, 3 + i % 3, 100 + i, vocab));
+      targets.push_back(i % 2 == 0 ? 1.0f : 0.0f);
+    }
+
+    for (Parameter* p : params) p->ZeroGrad();
+    {
+      Tape tape;
+      std::vector<Var> logits;
+      for (const auto& seq : seqs) logits.push_back(logit(tape, seq));
+      tape.Backward(BceWithLogits(ConcatRows(logits), targets));
+    }
+    const std::vector<la::Matrix> want = Grads(params);
+
+    for (const size_t threads : {0, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << "batch " << m << ", threads " << threads);
+      for (Parameter* p : params) p->ZeroGrad();
+      util::ThreadPool pool(threads);
+      std::vector<std::vector<ParamGradWrite>> writes(m);
+      util::ParallelFor(&pool, m, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          Tape tape(ParamGradMode::kDeferred);
+          const Var root = logit(tape, seqs[i]);
+          const float seed = BceWithLogitsRowGrad(1.0f, m, root.scalar(), targets[i]);
+          tape.Backward(root, la::Matrix(1, 1, seed));
+          writes[i] = tape.TakeParamGradWrites();
+        }
+      });
+      // Nothing reaches a parameter before the writes are applied.
+      for (const Parameter* p : params) {
+        for (size_t k = 0; k < p->grad.size(); ++k) {
+          ASSERT_EQ(p->grad.data()[k], 0.0f) << p->name;
+        }
+      }
+      for (size_t i = m; i-- > 0;) {
+        for (const ParamGradWrite& w : writes[i]) w.Apply();
+      }
+
+      const std::vector<la::Matrix> got = Grads(params);
+      for (size_t j = 0; j < params.size(); ++j) {
+        ASSERT_EQ(got[j].size(), want[j].size());
+        EXPECT_EQ(std::memcmp(got[j].data(), want[j].data(),
+                              want[j].size() * sizeof(float)),
+                  0)
+            << params[j]->name;
+      }
+    }
+  }
+}
+
+TEST(Tape, SeededBackwardScalesLikeAChainedConsumer) {
+  Parameter p = MakeParam("p", 2, 3, 21);
+  p.ZeroGrad();
+  {
+    Tape tape;
+    tape.Backward(SumAll(ScalarMul(Tanh(tape.Leaf(&p)), 3.0f)));
+  }
+  const la::Matrix want = p.grad;
+  p.ZeroGrad();
+  Tape tape;
+  Var root = Tanh(tape.Leaf(&p));
+  tape.Backward(root, la::Matrix(2, 3, 3.0f));
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(p.grad.data()[k], want.data()[k]) << k;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/checkpoint.h"
+#include "private_dir.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "status_matchers.h"
@@ -32,7 +33,7 @@ using util::FaultInjector;
 using util::FaultSite;
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return test_internal::PrivateDir() + "/" + name;
 }
 
 /// Every test leaves the process-global injector disarmed.

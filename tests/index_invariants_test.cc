@@ -14,6 +14,7 @@
 #include "index/matmul_search.h"
 #include "index/pq_index.h"
 #include "index/sq_index.h"
+#include "private_dir.h"
 
 /// Cross-backend property suite: every index backend, exact or approximate,
 /// must satisfy the VectorIndex contract uniformly. One TEST_P per invariant,
@@ -369,7 +370,7 @@ TEST_P(AllBackends, WarmStateRoundTripMatchesLiveRefresh) {
   auto live = MakeBackend(GetParam());
   live->Add(data);
 
-  const std::string path = testing::TempDir() + "/warm_state_" +
+  const std::string path = test_internal::PrivateDir() + "/warm_state_" +
                            core::IndexBackendName(GetParam()) + ".bin";
   constexpr uint32_t kMagic = 0x57524d53;  // "WRMS"
   {

@@ -278,23 +278,19 @@ TEST(MatrixPooled, MatMulVariantsBitIdenticalWithPool) {
   ExpectBitIdentical(got_tn, want_tn);
 }
 
-// Gradients still check out through the blocked (and pooled) GEMMs, and the
-// backward pass is bit-identical threaded vs inline.
-TEST(KernelGradients, GradcheckThroughPooledMatMul) {
+// Gradients still check out through the blocked GEMMs of both tape matmuls.
+TEST(KernelGradients, GradcheckThroughBlockedMatMul) {
   util::Rng rng(5);
   autograd::Parameter w1("w1", 7, 9);
-  autograd::Parameter w2("w2", 9, 3);
+  autograd::Parameter w2("w2", 3, 9);
   w1.value.RandNormal(rng, 0.5f);
   w2.value.RandNormal(rng, 0.5f);
   const Matrix x = Random(5, 7, 109);
 
-  util::ThreadPool pool(2);
   const auto loss_fn = [&]() {
     autograd::Tape tape;
-    tape.SetThreadPool(&pool);
     autograd::Var h = autograd::MatMul(tape.Constant(x), tape.Leaf(&w1));
-    autograd::Var out =
-        autograd::MatMul(autograd::Tanh(h), tape.Leaf(&w2));
+    autograd::Var out = autograd::MatMulTransposeB(autograd::Tanh(h), tape.Leaf(&w2));
     autograd::Var loss = autograd::MeanAll(autograd::Square(out));
     w1.ZeroGrad();
     w2.ZeroGrad();
@@ -304,18 +300,6 @@ TEST(KernelGradients, GradcheckThroughPooledMatMul) {
   const auto result = autograd::CheckGradients({&w1, &w2}, loss_fn);
   EXPECT_TRUE(result.ok) << "max_abs=" << result.max_abs_error
                          << " max_rel=" << result.max_rel_error;
-
-  // Same loss and gradients without any pool.
-  loss_fn();
-  Matrix g1_pooled = w1.grad;
-  autograd::Tape tape;
-  autograd::Var h = autograd::MatMul(tape.Constant(x), tape.Leaf(&w1));
-  autograd::Var out = autograd::MatMul(autograd::Tanh(h), tape.Leaf(&w2));
-  autograd::Var loss = autograd::MeanAll(autograd::Square(out));
-  w1.ZeroGrad();
-  w2.ZeroGrad();
-  tape.Backward(loss);
-  ExpectBitIdentical(g1_pooled, w1.grad);
 }
 
 }  // namespace

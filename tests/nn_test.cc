@@ -5,6 +5,7 @@
 #include "autograd/ops.h"
 #include "nn/layers.h"
 #include "nn/transformer.h"
+#include "private_dir.h"
 #include "util/serialize.h"
 
 namespace dial::nn {
@@ -88,7 +89,7 @@ TEST(Module, NumWeightsCountsEverything) {
 }
 
 TEST(Module, SaveLoadRoundTrip) {
-  const std::string path = testing::TempDir() + "/dial_nn_roundtrip.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_nn_roundtrip.bin";
   util::Rng rng(8);
   TransformerConfig config;
   config.vocab_size = 50;
@@ -116,7 +117,7 @@ TEST(Module, SaveLoadRoundTrip) {
 }
 
 TEST(Module, LoadRejectsShapeMismatch) {
-  const std::string path = testing::TempDir() + "/dial_nn_mismatch.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_nn_mismatch.bin";
   util::Rng rng(9);
   Linear small("lin", 2, 2, rng);
   {

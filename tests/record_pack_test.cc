@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "data/record.h"
+#include "private_dir.h"
 #include "status_matchers.h"
 #include "util/crc32c.h"
 #include "util/serialize.h"
@@ -27,7 +28,7 @@ namespace dial::data {
 namespace {
 
 std::string Path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return test_internal::PrivateDir() + "/" + name;
 }
 
 std::string ReadFile(const std::string& path) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "autograd/inference.h"
+#include "private_dir.h"
 #include "serve/json.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
@@ -39,7 +40,7 @@ namespace dial::serve {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return test_internal::PrivateDir() + "/" + name;
 }
 
 // ------------------------------------------------------------------- json

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
 #include <filesystem>
 
+#include "private_dir.h"
 #include "status_matchers.h"
 #include "tplm/model_cache.h"
 #include "tplm/tplm.h"
@@ -51,8 +51,7 @@ TEST(TplmModel, DifferentSeedsDiffer) {
 
 TEST(TplmModel, WeightSaveLoadRoundTrip) {
   constexpr uint32_t kMagic = 0xd1a17e57u;
-  const std::string path = testing::TempDir() + "/dial_tplm_weights_" +
-                           std::to_string(::getpid()) + ".bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_tplm_weights.bin";
   TplmModel saved("m", TinyConfig(), 5);
   {
     util::BinaryWriter writer(path, kMagic, 1);
@@ -76,8 +75,7 @@ TEST(TplmModel, WeightSaveLoadRoundTrip) {
 
 TEST(TplmModel, LoadRejectsMismatchedArchitecture) {
   constexpr uint32_t kMagic = 0xd1a17e57u;
-  const std::string path = testing::TempDir() + "/dial_tplm_mismatch_" +
-                           std::to_string(::getpid()) + ".bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_tplm_mismatch.bin";
   TplmModel saved("m", TinyConfig(), 5);
   {
     util::BinaryWriter writer(path, kMagic, 1);
@@ -170,9 +168,7 @@ TEST(TplmModel, PairDiscriminationLearns) {
 }
 
 TEST(ModelCache, StoresAndHits) {
-  const std::string dir = testing::TempDir() + "/dial_model_cache_test_" +
-                          std::to_string(::getpid());
-  std::filesystem::remove_all(dir);
+  const std::string dir = test_internal::PrivateDir() + "/dial_model_cache_test";
   text::SubwordVocab::Options vocab_options;
   vocab_options.max_vocab = 200;
   vocab_options.min_word_freq = 1;
@@ -203,7 +199,7 @@ TEST(ModelCache, StoresAndHits) {
 }
 
 TEST(ModelCache, DistinctKeysForDistinctCorpora) {
-  const std::string dir = testing::TempDir() + "/dial_model_cache_test2";
+  const std::string dir = test_internal::PrivateDir() + "/dial_model_cache_test2";
   text::SubwordVocab::Options vocab_options;
   vocab_options.max_vocab = 200;
   vocab_options.min_word_freq = 1;

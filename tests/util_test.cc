@@ -6,6 +6,7 @@
 #include <limits>
 #include <set>
 
+#include "private_dir.h"
 #include "util/crc32c.h"
 #include "util/flags.h"
 #include "util/hash.h"
@@ -344,7 +345,7 @@ TEST(TablePrinterDeathTest, ArityMismatchAborts) {
 // --------------------------------------------------------------- serialize
 
 TEST(Serialize, RoundTrip) {
-  const std::string path = testing::TempDir() + "/dial_serialize_test.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_serialize_test.bin";
   {
     BinaryWriter writer(path, 0xabcd1234u, 3);
     writer.WriteU32(7);
@@ -367,7 +368,7 @@ TEST(Serialize, RoundTrip) {
 }
 
 TEST(Serialize, EmptyContainersRoundTrip) {
-  const std::string path = testing::TempDir() + "/dial_serialize_empty.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_serialize_empty.bin";
   {
     BinaryWriter writer(path, 0xabcd1234u, 1);
     writer.WriteString("");
@@ -384,7 +385,7 @@ TEST(Serialize, EmptyContainersRoundTrip) {
 }
 
 TEST(Serialize, NonFiniteFloatsRoundTripBitExact) {
-  const std::string path = testing::TempDir() + "/dial_serialize_nonfinite.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_serialize_nonfinite.bin";
   const float inf = std::numeric_limits<float>::infinity();
   const float qnan = std::numeric_limits<float>::quiet_NaN();
   {
@@ -418,7 +419,7 @@ TEST(Serialize, NonFiniteFloatsRoundTripBitExact) {
 }
 
 TEST(Serialize, OverflowingVectorLengthRejected) {
-  const std::string path = testing::TempDir() + "/dial_serialize_overflow.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_serialize_overflow.bin";
   {
     BinaryWriter writer(path, 0x1111u, 1);
     // Length whose byte count (n * 4) wraps uint64 to a small value.
@@ -432,7 +433,7 @@ TEST(Serialize, OverflowingVectorLengthRejected) {
 }
 
 TEST(Serialize, U64VectorRoundTripAndBytesWritten) {
-  const std::string path = testing::TempDir() + "/dial_serialize_u64vec.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_serialize_u64vec.bin";
   const std::vector<uint64_t> offsets = {0, 8, 1ull << 33, ~0ull};
   {
     BinaryWriter writer(path, 0x1111u, 1);
@@ -454,7 +455,7 @@ TEST(Serialize, U64VectorRoundTripAndBytesWritten) {
 }
 
 TEST(Serialize, OverflowingU64VectorLengthRejected) {
-  const std::string path = testing::TempDir() + "/dial_serialize_u64_overflow.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_serialize_u64_overflow.bin";
   {
     BinaryWriter writer(path, 0x1111u, 1);
     // n * 8 wraps uint64 to 8: a product check would read one bogus element;
@@ -470,7 +471,7 @@ TEST(Serialize, OverflowingU64VectorLengthRejected) {
 }
 
 TEST(Serialize, BadMagicRejected) {
-  const std::string path = testing::TempDir() + "/dial_serialize_magic.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_serialize_magic.bin";
   {
     BinaryWriter writer(path, 0x1111u, 1);
     ASSERT_TRUE(writer.Finish().ok());
@@ -481,7 +482,7 @@ TEST(Serialize, BadMagicRejected) {
 }
 
 TEST(Serialize, WrongVersionRejected) {
-  const std::string path = testing::TempDir() + "/dial_serialize_ver.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_serialize_ver.bin";
   {
     BinaryWriter writer(path, 0x1111u, 1);
     ASSERT_TRUE(writer.Finish().ok());
@@ -491,7 +492,7 @@ TEST(Serialize, WrongVersionRejected) {
 }
 
 TEST(Serialize, TruncationDetected) {
-  const std::string path = testing::TempDir() + "/dial_serialize_trunc.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_serialize_trunc.bin";
   {
     BinaryWriter writer(path, 0x1111u, 1);
     writer.WriteFloatVector(std::vector<float>(100, 1.0f));
@@ -529,8 +530,8 @@ TEST(Crc32c, KnownVectorsAndIncrementalExtend) {
 }
 
 TEST(Serialize, CrcTrailerRoundTripsAndAddsEightBytes) {
-  const std::string plain = testing::TempDir() + "/dial_crc_plain.bin";
-  const std::string checked = testing::TempDir() + "/dial_crc_checked.bin";
+  const std::string plain = test_internal::PrivateDir() + "/dial_crc_plain.bin";
+  const std::string checked = test_internal::PrivateDir() + "/dial_crc_checked.bin";
   const std::vector<float> payload(17, 2.5f);
   size_t plain_size = 0;
   {
@@ -555,7 +556,7 @@ TEST(Serialize, CrcTrailerRoundTripsAndAddsEightBytes) {
 }
 
 TEST(Serialize, CrcTrailerRejectsEveryBitFlip) {
-  const std::string path = testing::TempDir() + "/dial_crc_flip.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_crc_flip.bin";
   {
     BinaryWriter writer(path, 0x1111u, 1, /*with_crc=*/true);
     writer.WriteString("checksummed payload");
@@ -571,7 +572,7 @@ TEST(Serialize, CrcTrailerRejectsEveryBitFlip) {
     while ((n = fread(chunk, 1, sizeof(chunk), f)) > 0) bytes.append(chunk, n);
     fclose(f);
   }
-  const std::string bad = testing::TempDir() + "/dial_crc_flip_bad.bin";
+  const std::string bad = test_internal::PrivateDir() + "/dial_crc_flip_bad.bin";
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::string mutated = bytes;
     mutated[i] ^= static_cast<char>(1 << (i % 8));
@@ -590,7 +591,7 @@ TEST(Serialize, CrcTrailerRejectsEveryBitFlip) {
 TEST(Serialize, CrcOnlyAppliesFromConfiguredVersion) {
   // A reader whose crc_from_version is above the file's version must treat
   // the file as trailer-less — the back-compat path old artifacts take.
-  const std::string path = testing::TempDir() + "/dial_crc_compat.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_crc_compat.bin";
   {
     BinaryWriter writer(path, 0x1111u, 1);  // v1, no trailer
     writer.WriteU32(7u);
@@ -604,7 +605,7 @@ TEST(Serialize, CrcOnlyAppliesFromConfiguredVersion) {
 }
 
 TEST(Serialize, DurableFinishSurvivesReload) {
-  const std::string path = testing::TempDir() + "/dial_crc_durable.bin";
+  const std::string path = test_internal::PrivateDir() + "/dial_crc_durable.bin";
   {
     BinaryWriter writer(path, 0x1111u, 1, /*with_crc=*/true);
     writer.WriteString("fsynced");

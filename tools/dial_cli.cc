@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "baselines/jedai.h"
 #include "baselines/rules.h"
@@ -27,7 +26,6 @@
 #include "data/record_pack.h"
 #include "util/flags.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -112,8 +110,10 @@ int CmdRun(int argc, char** argv) {
   int64_t* committee = flags.AddInt("committee", 0, "committee size N (0 = default)");
   int64_t* k = flags.AddInt("k", 0, "neighbours per probe (0 = default)");
   double* cand_mult = flags.AddDouble("cand-mult", 0.0, "|cand| = mult*|S| (0 = default)");
-  int64_t* threads =
-      flags.AddInt("threads", 0, "blocking-step worker threads (0 = inline)");
+  int64_t* threads = flags.AddInt(
+      "threads", static_cast<int64_t>(dial::core::AlConfig().num_threads),
+      "AL worker threads: matcher training, inference and blocking (0 = "
+      "inline; default: the core count)");
   bool* refresh = flags.AddBool(
       "refresh", true,
       "warm-start blocker indexes across rounds (off = rebuild every round)");
@@ -133,18 +133,7 @@ int CmdRun(int argc, char** argv) {
 
   dial::core::ExperimentConfig exp_config;
   exp_config.scale = dial::data::ParseScale(*scale_text);
-  // --threads also accelerates pretraining (cache misses only): the tape
-  // GEMMs thread through this pool with bit-identical results, so the
-  // on-disk model cache key is unaffected.
-  std::unique_ptr<dial::util::ThreadPool> pretrain_pool;
-  if (*threads > 0) {
-    pretrain_pool =
-        std::make_unique<dial::util::ThreadPool>(static_cast<size_t>(*threads));
-    exp_config.pretrain.pool = pretrain_pool.get();
-  }
   dial::core::Experiment exp = dial::core::PrepareExperiment(*dataset, exp_config);
-  exp_config.pretrain.pool = nullptr;  // pool dies here; don't leave a trap
-  pretrain_pool.reset();
 
   dial::core::AlConfig al =
       dial::core::DefaultAlConfig(exp_config.scale, static_cast<uint64_t>(*seed));
@@ -162,7 +151,8 @@ int CmdRun(int argc, char** argv) {
   if (*committee > 0) al.blocker.committee_size = static_cast<size_t>(*committee);
   if (*k > 0) al.k_neighbors = static_cast<size_t>(*k);
   if (*cand_mult > 0) al.cand_multiplier = *cand_mult;
-  if (*threads > 0) al.num_threads = static_cast<size_t>(*threads);
+  DIAL_CHECK_GE(*threads, 0) << "--threads must be >= 0";
+  al.num_threads = static_cast<size_t>(*threads);
   al.index_refresh = *refresh;
   if (*refresh_iters > 0) al.refresh.warm_iterations = static_cast<size_t>(*refresh_iters);
   al.refresh.drift_threshold = *drift;
